@@ -9,13 +9,15 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .errors import (
-    AutomatonFormatError,
-    CapExceededError,
-    CycleFormatError,
-    NotAPermutationError,
+from .errors import AutomatonFormatError, CycleFormatError, NotAPermutationError
+from .perm import (
+    DEFAULT_CLOSURE_CAP,
+    Perm,
+    _closure_images,
+    _point_orbit,
+    format_cycles,
+    parse_cycles,
 )
-from .perm import DEFAULT_CLOSURE_CAP, Perm, format_cycles, parse_cycles
 
 
 class Semiautomaton:
@@ -127,19 +129,8 @@ def accepts(d: DFA, word: Iterable[str]) -> bool:
 
 def reachable_states(a: Semiautomaton) -> tuple[int, ...]:
     """All states reachable from the initial state, ascending."""
-    seen = bytearray(a.state_count)
-    seen[a.initial] = 1
-    frontier = [a.initial]
     acts = [a.actions[letter] for letter in a.alphabet]
-    while frontier:
-        step = []
-        for q in frontier:
-            for act in acts:
-                v = act[q]
-                if not seen[v]:
-                    seen[v] = 1
-                    step.append(v)
-        frontier = step
+    seen = _point_orbit(acts, a.initial, a.state_count)
     return tuple(q for q in range(a.state_count) if seen[q])
 
 
@@ -151,24 +142,7 @@ def is_strongly_connected(a: Semiautomaton) -> bool:
     """Whether every state can reach every other state."""
     n = a.state_count
     acts = [a.actions[letter] for letter in a.alphabet]
-    for start in range(n):
-        seen = bytearray(n)
-        seen[start] = 1
-        frontier = [start]
-        count = 1
-        while frontier:
-            step = []
-            for q in frontier:
-                for act in acts:
-                    v = act[q]
-                    if not seen[v]:
-                        seen[v] = 1
-                        count += 1
-                        step.append(v)
-            frontier = step
-        if count != n:
-            return False
-    return True
+    return all(_point_orbit(acts, start, n).count(1) == n for start in range(n))
 
 
 class TransitionSemigroup:
@@ -207,23 +181,9 @@ def transition_semigroup(a: Semiautomaton, cap: Optional[int] = None) -> Transit
     if cap is None:
         cap = DEFAULT_CLOSURE_CAP
     gens = {letter: a.actions[letter] for letter in a.alphabet}
-    elements = set(gens.values())
-    if len(elements) > cap:
-        raise CapExceededError(f"transition semigroup exceeded cap of {cap}")
-    frontier = list(elements)
-    letter_acts = list(gens.values())
-    while frontier:
-        step = []
-        for word_act in frontier:
-            for act in letter_acts:
-                # Extending the word by one letter applies that letter last.
-                longer = tuple(map(act.__getitem__, word_act))
-                if longer not in elements:
-                    elements.add(longer)
-                    if len(elements) > cap:
-                        raise CapExceededError(f"transition semigroup exceeded cap of {cap}")
-                    step.append(longer)
-        frontier = step
+    # Each closure step puts one more letter in front of a word, which
+    # reaches every nonempty word.
+    elements = _closure_images(list(gens.values()), gens.values(), cap=cap)
     return TransitionSemigroup(a.state_count, frozenset(elements), gens)
 
 
@@ -296,7 +256,10 @@ def moore_complexity(
     return top + 1
 
 
-def _finals_mask(finals: Iterable[int]) -> int:
+def finals_to_mask(finals: Iterable[int] | int) -> int:
+    """Final states as a bit mask, bit q for state q; a mask passes through."""
+    if isinstance(finals, int):
+        return finals
     mask = 0
     for q in finals:
         mask |= 1 << q
@@ -312,7 +275,7 @@ def minimize(d: DFA) -> tuple[DFA, int]:
     """
     reach = reachable_states(d)
     acts = [d.actions[letter] for letter in d.alphabet]
-    mask = _finals_mask(d.finals)
+    mask = finals_to_mask(d.finals)
     cls = moore_classes(acts, reach, mask, d.state_count)
     k = max(cls[q] for q in reach) + 1
     reps = [-1] * k
@@ -333,7 +296,7 @@ def equivalence_classes(d: DFA) -> tuple[tuple[int, ...], ...]:
     ordered by smallest member."""
     reach = reachable_states(d)
     acts = [d.actions[letter] for letter in d.alphabet]
-    cls = moore_classes(acts, reach, _finals_mask(d.finals), d.state_count)
+    cls = moore_classes(acts, reach, finals_to_mask(d.finals), d.state_count)
     k = max(cls[q] for q in reach) + 1
     groups: list[list[int]] = [[] for _ in range(k)]
     for q in reach:

@@ -8,7 +8,7 @@ f(0,0), f(0,1), f(1,0), f(1,1). So "0110" (= 6) is symmetric difference and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 # The ten proper functions by their conventional names. "diff" is x and not y,
 # "rdiff" the reverse; "impl" is x implies y, "rimpl" the reverse.
@@ -105,27 +105,3 @@ def representative_of(f: BoolFn) -> BoolFn:
     if f.table in CANONICAL_TABLES:
         return BoolFn.by_table(f.table)
     return f.complement()
-
-
-def final_set_product(
-    f: BoolFn,
-    left_finals: Iterable[int],
-    left_count: int,
-    right_finals: Iterable[int],
-    right_count: int,
-) -> frozenset[tuple[int, int]]:
-    """Final states of the product: pairs (q, q') with f(q in F, q' in F')."""
-    lf = frozenset(left_finals)
-    rf = frozenset(right_finals)
-    for q in lf:
-        if not 0 <= q < left_count:
-            raise ValueError(f"left final state {q} out of range")
-    for q in rf:
-        if not 0 <= q < right_count:
-            raise ValueError(f"right final state {q} out of range")
-    return frozenset(
-        (i, j)
-        for i in range(left_count)
-        for j in range(right_count)
-        if f(i in lf, j in rf)
-    )

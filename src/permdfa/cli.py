@@ -10,13 +10,7 @@ import sys
 from .automaton import DFA, minimize, parse_automaton_text
 from .boolops import BoolFn, is_proper
 from .errors import CapExceededError, TwoPathDisagreement
-from .harness import (
-    CampaignConfig,
-    REPRODUCE_IDS,
-    reproduce,
-    sample_instances,
-    verify_theorem1,
-)
+from .harness import CampaignConfig, REPRODUCE_IDS, reproduce, verify_theorem1
 from .perm import Basis, bases_conjugate, format_cycles
 from .product import (
     direct_product,
@@ -55,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="file with the right automaton")
     group = comp.add_mutually_exclusive_group(required=True)
     group.add_argument("--op", help="operation name (and, or, xor, ...)")
-    group.add_argument("--table",
+    group.add_argument("--table", dest="op",
                        help="4-bit truth table f(0,0)f(0,1)f(1,0)f(1,1)")
 
     pg = sub.add_parser(
@@ -65,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--right", required=True)
     pg_group = pg.add_mutually_exclusive_group()
     pg_group.add_argument("--op")
-    pg_group.add_argument("--table")
+    pg_group.add_argument("--table", dest="op")
 
     ver = sub.add_parser(
         "verify",
@@ -97,14 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_op(op_name, table_text) -> BoolFn:
-    if op_name is not None:
-        return BoolFn.by_name(op_name)
-    if len(table_text) != 4 or any(c not in "01" for c in table_text):
-        raise ValueError(f"table must be 4 bits of 0/1, got {table_text!r}")
-    return BoolFn.by_table(int(table_text, 2))
-
-
 def _load_automaton(path: str):
     with open(path, encoding="utf-8") as fh:
         return parse_automaton_text(fh.read())
@@ -124,7 +110,7 @@ def _cmd_complexity(args) -> int:
     for path, a in ((args.left, left), (args.right, right)):
         if not isinstance(a, DFA):
             raise ValueError(f"{path}: no final line, cannot combine")
-    op = _parse_op(args.op, args.table)
+    op = BoolFn.parse(args.op)
     _, complexity = minimize(product_dfa(left, right, op))
     print(complexity)
     return 0
@@ -135,12 +121,12 @@ def _cmd_pairgraph(args) -> int:
     right = _load_automaton(args.right)
     prod = direct_product(left, right)
     finals = None
-    if args.op is not None or args.table is not None:
+    if args.op is not None:
         for path, a in ((args.left, left), (args.right, right)):
             if not isinstance(a, DFA):
                 raise ValueError(
                     f"{path}: no final line, cannot apply an operation")
-        op = _parse_op(args.op, args.table)
+        op = BoolFn.parse(args.op)
         finals = flat_final_set(op, left.finals, left.state_count,
                                 right.finals, right.state_count)
     sys.stdout.write(format_pair_graph(prod, finals=finals))
@@ -181,10 +167,7 @@ def _cmd_verify(args, parser) -> int:
                                 sample_count=args.samples, seed=args.seed,
                                 ops=ops, output=args.out)
     out = None if args.out else sys.stdout
-    if config.mode == "exhaustive":
-        result = verify_theorem1(config, out=out)
-    else:
-        result = sample_instances(config, out=out)
+    result = verify_theorem1(config, out=out)
     print(result.summary(), file=sys.stderr)
     return 0 if result.ok else 1
 

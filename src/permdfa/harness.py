@@ -12,7 +12,6 @@ order), so a report written twice with the same configuration is
 byte-identical.
 """
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -20,7 +19,9 @@ from typing import Callable, List, Optional, Sequence, TextIO, Tuple
 
 from .automaton import (
     Semiautomaton,
+    finals_to_mask,
     from_basis,
+    is_connected,
     moore_complexity,
     reachable_states,
     transition_semigroup,
@@ -30,14 +31,16 @@ from .errors import CapExceededError, TwoPathDisagreement
 from .perm import (
     Basis,
     Perm,
-    _images_generate_symmetric,
     bases_conjugate,
     conjugate,
     format_cycles,
+    generating_pairs,
 )
 from .product import (
+    all_distinguished,
     classify_component,
     direct_product,
+    flat_final_mask,
     format_pair_graph,
     has_distinguishing_pair,
     pair_graph,
@@ -54,8 +57,6 @@ EXCEPTION_DEGREES = frozenset({(2, 2), (3, 4), (4, 3), (4, 4)})
 
 # Refuse exhaustive sweeps above this many instances.
 EXHAUSTIVE_BUDGET = 100_000_000
-
-MAX_ENUMERATION_DEGREE = 5
 
 REPORT_COLUMNS = (
     "m", "n", "b1", "b2", "conjugate", "connected",
@@ -81,20 +82,7 @@ def enumerate_bases(n: int) -> Tuple[Basis, ...]:
     Pairs with equal components are kept only at degree 2, the one degree
     where such a pair still generates.
     """
-    if n < 1:
-        raise ValueError("degree must be at least 1")
-    if n > MAX_ENUMERATION_DEGREE:
-        raise CapExceededError(
-            f"basis enumeration is limited to degree {MAX_ENUMERATION_DEGREE}")
-    out = []
-    perms = list(itertools.permutations(range(n)))
-    for s in perms:
-        for t in perms:
-            if s == t and n != 2:
-                continue
-            if _images_generate_symmetric([s, t], n):
-                out.append(Basis(Perm(s), Perm(t)))
-    return tuple(out)
+    return tuple(generating_pairs(n, allow_equal=n == 2))
 
 
 @dataclass(frozen=True)
@@ -233,24 +221,9 @@ def _final_op_combos(m: int, n: int, ops: Sequence[BoolFn]):
         for gmask in range(1, (1 << n) - 1):
             finals_right = tuple(j for j in range(n) if gmask >> j & 1)
             for op in ops:
-                flat = 0
-                for i in range(m):
-                    x = fmask >> i & 1
-                    for j in range(n):
-                        if op.table >> (3 - 2 * x - (gmask >> j & 1)) & 1:
-                            flat |= 1 << (i * n + j)
+                flat = flat_final_mask(op, fmask, m, gmask, n)
                 combos.append((finals_left, finals_right, op, flat))
     return combos
-
-
-def _flat_mask(op: BoolFn, fmask: int, m: int, gmask: int, n: int) -> int:
-    flat = 0
-    for i in range(m):
-        x = fmask >> i & 1
-        for j in range(n):
-            if op.table >> (3 - 2 * x - (gmask >> j & 1)) & 1:
-                flat |= 1 << (i * n + j)
-    return flat
 
 
 def _judge(ctx: _PairContext, oracle: int) -> str:
@@ -283,14 +256,7 @@ def _evaluate(
     sink: Optional[Callable[[VerificationRecord], None]],
     out: Optional[TextIO],
 ) -> None:
-    if ctx.connected:
-        predicted = True
-        for comp in ctx.components:
-            if not has_distinguishing_pair(comp, flat):
-                predicted = False
-                break
-    else:
-        predicted = False
+    predicted = ctx.connected and all_distinguished(ctx.components, flat)
     oracle = moore_complexity(ctx.actions, ctx.reachable, flat, ctx.mn)
 
     disagree = predicted != (oracle == ctx.mn)
@@ -338,17 +304,13 @@ def evaluate_instance(
 ) -> VerificationRecord:
     """Judge a single instance exactly as a campaign would."""
     m, n = b1.degree, b2.degree
-    fmask = 0
-    for a in finals_left:
-        fmask |= 1 << a
-    gmask = 0
-    for b in finals_right:
-        gmask |= 1 << b
+    fmask = finals_to_mask(finals_left)
+    gmask = finals_to_mask(finals_right)
     if not (0 < fmask < (1 << m) - 1) or not (0 < gmask < (1 << n) - 1):
         raise ValueError("final sets must be proper and nonempty")
     holder: List[VerificationRecord] = []
     ctx = _PairContext(b1, b2)
-    flat = _flat_mask(op, fmask, m, gmask, n)
+    flat = flat_final_mask(op, fmask, m, gmask, n)
     _evaluate(ctx, tuple(sorted(set(finals_left))),
               tuple(sorted(set(finals_right))), op, flat,
               CampaignResult(CampaignConfig(m, n)), holder.append, None)
@@ -371,34 +333,39 @@ def verify_theorem1(
     """Run the campaign described by config and return the tallies.
 
     Exhaustive mode walks every ordered basis pair, every pair of proper
-    final sets and every requested operation.  Sampled mode defers to
-    sample_instances.  When out is given the TSV report (header plus one row
-    per instance) is streamed to it; config.output names a file to write
-    when out is not supplied.
+    final sets and every requested operation; sampled mode draws instances
+    as sample_instances describes.  When out is given the TSV report
+    (header plus one row per instance) is streamed to it; config.output
+    names a file to write when out is not supplied.
     """
-    if config.mode == "sample":
-        return sample_instances(config, sink, out)
     if config.output is not None and out is None:
         with open(config.output, "w", encoding="ascii") as fh:
             return verify_theorem1(config, sink, fh)
+    if config.mode == "sample":
+        instances = _sampled_instances(config)
+    else:
+        instances = _exhaustive_instances(config)
+    result = CampaignResult(config)
+    if out is not None:
+        out.write(REPORT_HEADER + "\n")
+    for ctx, combos in instances:
+        for finals_left, finals_right, op, flat in combos:
+            _evaluate(ctx, finals_left, finals_right, op, flat,
+                      result, sink, out)
+    return result
 
+
+def _exhaustive_instances(config: CampaignConfig):
+    """Each basis pair's context with the combo table all pairs share."""
     total = exhaustive_instance_count(config)
     if total > EXHAUSTIVE_BUDGET:
         raise CapExceededError(
             f"exhaustive sweep would visit {total} instances"
             f" (budget {EXHAUSTIVE_BUDGET}); use sampled mode")
-
     combos = _final_op_combos(config.m, config.n, config.resolved_ops())
-    result = CampaignResult(config)
-    if out is not None:
-        out.write(REPORT_HEADER + "\n")
-    for b1 in enumerate_bases(config.m):
-        for b2 in enumerate_bases(config.n):
-            ctx = _PairContext(b1, b2)
-            for finals_left, finals_right, op, flat in combos:
-                _evaluate(ctx, finals_left, finals_right, op, flat,
-                          result, sink, out)
-    return result
+    return ((_PairContext(b1, b2), combos)
+            for b1 in enumerate_bases(config.m)
+            for b2 in enumerate_bases(config.n))
 
 
 def _splitmix64(seed: int, index: int) -> int:
@@ -418,8 +385,10 @@ def _random_basis(rng: random.Random, degree: int) -> Basis:
         rng.shuffle(s)
         t = list(range(degree))
         rng.shuffle(t)
-        if _images_generate_symmetric([tuple(s), tuple(t)], degree):
+        try:
             return Basis(Perm(s), Perm(t))
+        except ValueError:
+            continue
     raise RuntimeError(f"no generating pair found at degree {degree} "
                        f"after {_SAMPLE_TRY_CAP} tries")
 
@@ -444,15 +413,13 @@ def sample_instances(
     """
     if config.mode != "sample":
         raise ValueError("sample_instances needs a sample-mode config")
-    if config.output is not None and out is None:
-        with open(config.output, "w", encoding="ascii") as fh:
-            return sample_instances(config, sink, fh)
+    return verify_theorem1(config, sink, out)
 
+
+def _sampled_instances(config: CampaignConfig):
+    """Each sample's context with its one (F, F', op) combo."""
     m, n = config.m, config.n
     ops = config.resolved_ops()
-    result = CampaignResult(config)
-    if out is not None:
-        out.write(REPORT_HEADER + "\n")
     for i in range(config.sample_count):
         rng = random.Random(_splitmix64(config.seed, i))
         b1 = _random_basis(rng, m)
@@ -466,10 +433,8 @@ def sample_instances(
         op = ops[rng.randrange(len(ops))]
         finals_left = tuple(a for a in range(m) if fmask >> a & 1)
         finals_right = tuple(b for b in range(n) if gmask >> b & 1)
-        flat = _flat_mask(op, fmask, m, gmask, n)
-        ctx = _PairContext(b1, b2)
-        _evaluate(ctx, finals_left, finals_right, op, flat, result, sink, out)
-    return result
+        flat = flat_final_mask(op, fmask, m, gmask, n)
+        yield _PairContext(b1, b2), ((finals_left, finals_right, op, flat),)
 
 
 @dataclass
@@ -491,8 +456,7 @@ def verify_theorem2(m: int, n: int) -> ConnectivityCheck:
         for b2 in enumerate_bases(n):
             total += 1
             predicted = predict_connected(b1, b2)
-            prod = direct_product(left, from_basis(b2))
-            actual = len(reachable_states(prod)) == prod.state_count
+            actual = is_connected(direct_product(left, from_basis(b2)))
             if predicted != actual:
                 mismatches.append((str(b1), str(b2), predicted, actual))
     return ConnectivityCheck(total, mismatches)
@@ -515,7 +479,7 @@ REPRODUCE_IDS = (
 def _complexity_of(b1: Basis, b2: Basis, fmask: int, gmask: int,
                    op: BoolFn) -> int:
     ctx = _PairContext(b1, b2)
-    flat = _flat_mask(op, fmask, b1.degree, gmask, b2.degree)
+    flat = flat_final_mask(op, fmask, b1.degree, gmask, b2.degree)
     return moore_complexity(ctx.actions, ctx.reachable, flat, ctx.mn)
 
 
@@ -538,8 +502,7 @@ def _reproduce_example_1() -> str:
     lines.append("letter a orders: b1: {}  b2: {}  b3: {}".format(
         b1.s.order(), b2.s.order(), b3.s.order()))
     for name, other in (("b2", b2), ("b3", b3)):
-        prod = direct_product(from_basis(b1), from_basis(other))
-        connected = len(reachable_states(prod)) == prod.state_count
+        connected = is_connected(direct_product(from_basis(b1), from_basis(other)))
         lines.append(f"product b1 x {name} connected: {_bool_text(connected)}")
     return "\n".join(lines) + "\n"
 
@@ -608,7 +571,7 @@ def _reproduce_example_3_2() -> str:
     lines.append(f"left (2 states): {b1}")
     lines.append(f"right (3 states): {b2}")
     lines.append(f"F = 0  Fp = 0,1  op = {op.label()}")
-    flat = _flat_mask(op, fmask, 2, gmask, 3)
+    flat = flat_final_mask(op, fmask, 2, gmask, 3)
     lines.append(_pair_graph_section(b1, b2, flat))
     oracle = _complexity_of(b1, b2, fmask, gmask, op)
     lines.append(f"oracle complexity: {oracle}")
@@ -628,7 +591,7 @@ def _reproduce_example_3_3() -> str:
         c = _complexity_of(b1, b2, fmask, gmask, op)
         lines.append(f"complexity {op.label()}: {c}")
     op = BoolFn.by_name("and")
-    flat = _flat_mask(op, fmask, 3, gmask, 4)
+    flat = flat_final_mask(op, fmask, 3, gmask, 4)
     prod = direct_product(from_basis(b1), from_basis(b2))
     graph = pair_graph(prod)
     n = 4
@@ -710,7 +673,7 @@ def _reproduce_prop_1(m: Optional[int], n: Optional[int]) -> str:
         parts = []
         section_ok = True
         for op in canonical:
-            flat = _flat_mask(op, fmask, m, gmask, n)
+            flat = flat_final_mask(op, fmask, m, gmask, n)
             c = moore_complexity(actions, reach, flat, prod.state_count)
             parts.append(f"{op.name}={c}")
             section_ok = section_ok and c == m * n

@@ -1,5 +1,10 @@
 """Permutations of {0, ..., n-1}, cycle notation, and generating pairs of S_n.
 
+This module also holds the two search loops the package shares: the
+point-orbit BFS (_point_orbit) behind reachability and transitivity, and
+the element closure (_closure_images) behind generated groups, the
+generation test, transition semigroups and the product group.
+
 Composition is right-to-left throughout this module: compose(p, q) applies q
 first, so compose(p, q)(i) == p(q(i)). Words over an automaton alphabet act
 left to right instead; that convention lives in automaton.py and the two are
@@ -11,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     CapExceededError,
@@ -23,8 +28,8 @@ from .errors import (
 # Default element cap for group closures; enough for every subgroup of S_8.
 DEFAULT_CLOSURE_CAP = math.factorial(8)
 
-# Conjugator searches scan all of S_n, so keep the degree small.
-MAX_CONJUGACY_DEGREE = 8
+# Generating pairs are found by testing all (n!)^2 ordered pairs.
+MAX_ENUMERATION_DEGREE = 5
 
 
 class Perm:
@@ -185,16 +190,39 @@ def format_cycles(p: Perm) -> str:
     return "".join(parts) or "id"
 
 
+def _point_orbit(actions: Sequence[Sequence[int]], start: int, size: int) -> bytearray:
+    """BFS over points 0..size-1 under the maps: seen[q] is 1 exactly when
+    some sequence of maps carries start to q."""
+    seen = bytearray(size)
+    seen[start] = 1
+    frontier = [start]
+    while frontier:
+        step = []
+        for q in frontier:
+            for act in actions:
+                v = act[q]
+                if not seen[v]:
+                    seen[v] = 1
+                    step.append(v)
+        frontier = step
+    return seen
+
+
 def _closure_images(
     images: list[tuple[int, ...]],
-    degree: int,
+    seed: Iterable[tuple[int, ...]],
     cap: Optional[int] = None,
     stop_above: Optional[int] = None,
 ) -> set[tuple[int, ...]]:
-    """BFS closure of image tuples under composition, seeded with the identity."""
-    ident = tuple(range(degree))
-    elements = {ident}
-    frontier = [ident]
+    """BFS closure of the seed under composition with the image tuples.
+
+    Seeded with the identity this is the generated group; seeded with the
+    generators it is the semigroup of nonempty products.
+    """
+    elements = set(seed)
+    if cap is not None and len(elements) > cap:
+        raise CapExceededError(f"closure exceeded cap of {cap}")
+    frontier = list(elements)
     while frontier:
         step = []
         for x in frontier:
@@ -203,7 +231,7 @@ def _closure_images(
                 if y not in elements:
                     elements.add(y)
                     if cap is not None and len(elements) > cap:
-                        raise CapExceededError(f"group closure exceeded cap of {cap}")
+                        raise CapExceededError(f"closure exceeded cap of {cap}")
                     if stop_above is not None and len(elements) > stop_above:
                         return elements
                     step.append(y)
@@ -235,82 +263,57 @@ class GroupClosure:
         return f"<GroupClosure degree={self.degree} order={len(self.elements)} gens=[{gens}]>"
 
 
-def generate_group(gens: Iterable[Perm], cap: Optional[int] = None) -> GroupClosure:
-    """Close the generators under composition; error if the cap is exceeded."""
-    gens = tuple(gens)
+def _generator_images(gens: tuple[Perm, ...]) -> tuple[list[tuple[int, ...]], int]:
+    """The generators' image tuples and their shared degree."""
     if not gens:
         raise ValueError("at least one generator is required")
     degree = gens[0].degree
-    for g in gens:
-        if g.degree != degree:
-            raise DegreeMismatchError("generators must share a degree")
+    if any(g.degree != degree for g in gens):
+        raise DegreeMismatchError("generators must share a degree")
+    return [g.image for g in gens], degree
+
+
+def generate_group(gens: Iterable[Perm], cap: Optional[int] = None) -> GroupClosure:
+    """Close the generators under composition; error if the cap is exceeded."""
+    gens = tuple(gens)
+    images, degree = _generator_images(gens)
     if cap is None:
         cap = DEFAULT_CLOSURE_CAP
-    images = _closure_images([g.image for g in gens], degree, cap=cap)
-    return GroupClosure(degree, gens, frozenset(Perm(t) for t in images))
+    elements = _closure_images(images, [tuple(range(degree))], cap=cap)
+    return GroupClosure(degree, gens, frozenset(Perm(t) for t in elements))
 
 
 def _images_generate_symmetric(images: list[tuple[int, ...]], degree: int) -> bool:
     # A proper subgroup of S_n has at most n!/2 elements, so the closure can
     # stop as soon as it grows past that.
     full = math.factorial(degree)
-    elements = _closure_images(images, degree, stop_above=full // 2)
+    elements = _closure_images(images, [tuple(range(degree))], stop_above=full // 2)
     return len(elements) > full // 2 or len(elements) == full
 
 
 def generates_symmetric(gens: Iterable[Perm]) -> bool:
     """Whether the generators' closure is the full symmetric group."""
-    gens = tuple(gens)
-    if not gens:
-        raise ValueError("at least one generator is required")
-    degree = gens[0].degree
-    for g in gens:
-        if g.degree != degree:
-            raise DegreeMismatchError("generators must share a degree")
-    return _images_generate_symmetric([g.image for g in gens], degree)
+    return _images_generate_symmetric(*_generator_images(tuple(gens)))
 
 
 def acts_transitively(gens: Iterable[Perm]) -> bool:
     """Whether the generated group has a single orbit on points."""
-    gens = tuple(gens)
-    if not gens:
-        raise ValueError("at least one generator is required")
-    degree = gens[0].degree
-    orbit = {0}
-    frontier = [0]
-    while frontier:
-        step = []
-        for q in frontier:
-            for g in gens:
-                v = g.image[q]
-                if v not in orbit:
-                    orbit.add(v)
-                    step.append(v)
-        frontier = step
-    return len(orbit) == degree
+    images, degree = _generator_images(tuple(gens))
+    return _point_orbit(images, 0, degree).count(1) == degree
 
 
 def acts_doubly_transitively(gens: Iterable[Perm]) -> bool:
     """Single orbit on ordered pairs of distinct points; degree must be >= 2."""
-    gens = tuple(gens)
-    if not gens:
-        raise ValueError("at least one generator is required")
-    degree = gens[0].degree
+    images, degree = _generator_images(tuple(gens))
     if degree < 2:
         raise ValueError("double transitivity needs at least two points")
-    start = (0, 1)
-    orbit = {start}
-    frontier = [start]
-    while frontier:
-        step = []
-        for (a, b) in frontier:
-            for g in gens:
-                v = (g.image[a], g.image[b])
-                if v not in orbit:
-                    orbit.add(v)
-                    step.append(v)
-        frontier = step
-    return len(orbit) == degree * (degree - 1)
+    # The pair (a, b) is the point a * degree + b.
+    pair_actions = [
+        [g[a] * degree + g[b] for a in range(degree) for b in range(degree)]
+        for g in images
+    ]
+    orbit = _point_orbit(pair_actions, 1, degree * degree)
+    return orbit.count(1) == degree * (degree - 1)
 
 
 class Basis:
@@ -372,46 +375,64 @@ class Basis:
 def bases_conjugate(b1: Basis, b2: Basis) -> Optional[Perm]:
     """A single r with r*s1*r^-1 == s2 and r*t1*r^-1 == t2, or None.
 
-    Both components must be moved by the same r. Because a generating pair has
-    trivial centralizer for degree >= 3, the conjugator is then unique; that
-    uniqueness is verified rather than assumed. At degree 2 the
-    lexicographically first conjugator is returned.
+    Both components must be moved by the same r. Because <s1, t1> is
+    transitive, r is fixed by r(0): each anchor r(0) = a is extended along
+    both generators, r(s1(q)) = s2(r(q)) and r(t1(q)) = t2(r(q)), and kept
+    when every such equation holds and r is a bijection. That is n anchors of
+    O(n) work each. A generating pair has trivial centralizer for degree
+    >= 3, so the conjugator is then unique; that uniqueness is verified
+    rather than assumed. At degree 2 the lexicographically first conjugator,
+    the one with the smallest anchor, is returned.
     """
     if b1.degree != b2.degree:
         raise DegreeMismatchError("bases of different degrees are never conjugate")
     n = b1.degree
-    if n > MAX_CONJUGACY_DEGREE:
-        raise CapExceededError(f"conjugacy search is limited to degree {MAX_CONJUGACY_DEGREE}")
-    s1, t1 = b1.s.image, b1.t.image
-    s2, t2 = b2.s.image, b2.t.image
-    found: Optional[tuple[int, ...]] = None
-    for r in itertools.permutations(range(n)):
-        ok = True
-        for i in range(n):
-            if s2[r[i]] != r[s1[i]] or t2[r[i]] != r[t1[i]]:
-                ok = False
-                break
-        if ok:
-            if found is not None:
-                if n >= 3:
-                    raise AssertionError("conjugator of a basis must be unique at degree >= 3")
-                break
-            found = r
+    moves = ((b1.s.image, b2.s.image), (b1.t.image, b2.t.image))
+    found: Optional[list[int]] = None
+    for anchor in range(n):
+        r = [-1] * n
+        r[0] = anchor
+        stack = [0]
+        consistent = True
+        while stack and consistent:
+            q = stack.pop()
+            for g1, g2 in moves:
+                v, want = g1[q], g2[r[q]]
+                if r[v] < 0:
+                    r[v] = want
+                    stack.append(v)
+                elif r[v] != want:
+                    consistent = False
+        if not consistent or sorted(r) != list(range(n)):
+            continue
+        if found is not None:
+            if n >= 3:
+                raise AssertionError("conjugator of a basis must be unique at degree >= 3")
+            break
+        found = r
     return None if found is None else Perm(found)
+
+
+def generating_pairs(n: int, allow_equal: bool) -> Iterator[Basis]:
+    """Every ordered pair (s, t) with <s, t> = S_n, lexicographic by image
+    tuples; pairs with s == t only when allow_equal is set."""
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+    if n > MAX_ENUMERATION_DEGREE:
+        raise CapExceededError(
+            f"generating-pair enumeration is limited to degree {MAX_ENUMERATION_DEGREE}")
+    perms = [Perm(p) for p in itertools.permutations(range(n))]
+    for s in perms:
+        for t in perms:
+            if s is t and not allow_equal:
+                continue
+            try:
+                basis = Basis(s, t)
+            except ValueError:
+                continue
+            yield basis
 
 
 def count_generating_pairs(n: int, allow_equal: bool = False) -> int:
     """Count ordered pairs (s, t) with <s, t> = S_n by plain enumeration."""
-    if n < 1:
-        raise ValueError("degree must be at least 1")
-    if n > 5:
-        raise CapExceededError("generating-pair enumeration is limited to degree 5")
-    perms = list(itertools.permutations(range(n)))
-    count = 0
-    for s in perms:
-        for t in perms:
-            if not allow_equal and s == t:
-                continue
-            if _images_generate_symmetric([s, t], n):
-                count += 1
-    return count
+    return sum(1 for _ in generating_pairs(n, allow_equal))

@@ -1,8 +1,11 @@
 """Direct products of automata, their pair graphs, and structural predictions.
 
 Product state (i, j) sits at flat index i * n + j where n is the right state
-count. Everything here that walks the pair graph requires permutation letter
-actions and says so loudly when they are not.
+count; flat_final_mask is the one builder of product final sets, and
+all_distinguished the one pair-graph prediction, shared by predict_minimal,
+format_pair_graph and the campaigns. Everything here that walks the pair
+graph requires permutation letter actions and says so loudly when they are
+not.
 """
 
 from __future__ import annotations
@@ -11,10 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .automaton import DFA, Semiautomaton, is_connected
+from .automaton import DFA, Semiautomaton, finals_to_mask, is_connected
 from .boolops import BoolFn
-from .errors import CapExceededError
-from .perm import Basis, bases_conjugate
+from .perm import Basis, Perm, _closure_images, bases_conjugate
 
 # Enough for the full product group of two degree-6 factors.
 DEFAULT_PRODUCT_GROUP_CAP = math.factorial(6) ** 2
@@ -59,6 +61,20 @@ def direct_product(left: Semiautomaton, right: Semiautomaton) -> ProductAutomato
     return ProductAutomaton(left, right)
 
 
+def flat_final_mask(f: BoolFn, fmask: int, left_count: int, gmask: int, right_count: int) -> int:
+    """Product final states as a bit mask over flat indices: bit i*n+j is
+    f(bit i of fmask, bit j of gmask)."""
+    table = f.table
+    n = right_count
+    flat = 0
+    for i in range(left_count):
+        x = fmask >> i & 1
+        for j in range(n):
+            if table >> (3 - 2 * x - (gmask >> j & 1)) & 1:
+                flat |= 1 << (i * n + j)
+    return flat
+
+
 def flat_final_set(
     f: BoolFn,
     left_finals: Iterable[int],
@@ -67,16 +83,12 @@ def flat_final_set(
     right_count: int,
 ) -> frozenset[int]:
     """Product final states as flat indices: f(i in F, j in F') selects i*n+j."""
-    lf = frozenset(left_finals)
-    rf = frozenset(right_finals)
-    out = []
-    for i in range(left_count):
-        x = i in lf
-        base = i * right_count
-        for j in range(right_count):
-            if f(x, j in rf):
-                out.append(base + j)
-    return frozenset(out)
+    fmask = finals_to_mask(left_finals)
+    gmask = finals_to_mask(right_finals)
+    if fmask >> left_count or gmask >> right_count:
+        raise ValueError("final state out of range")
+    flat = flat_final_mask(f, fmask, left_count, gmask, right_count)
+    return frozenset(q for q in range(left_count * right_count) if flat >> q & 1)
 
 
 def product_dfa(left: DFA, right: DFA, f: BoolFn) -> DFA:
@@ -186,22 +198,22 @@ def classify_component(
     return ComponentLabel(kind, len(component) == full)
 
 
-def _as_mask(finals: Iterable[int] | int) -> int:
-    if isinstance(finals, int):
-        return finals
-    mask = 0
-    for q in finals:
-        mask |= 1 << q
-    return mask
-
-
 def has_distinguishing_pair(component: Sequence[tuple[int, int]], finals: Iterable[int] | int) -> bool:
     """Whether some pair of the component has exactly one final member."""
-    mask = _as_mask(finals)
+    mask = finals_to_mask(finals)
     for (u, v) in component:
         if ((mask >> u) ^ (mask >> v)) & 1:
             return True
     return False
+
+
+def all_distinguished(components: Iterable[Sequence[tuple[int, int]]], mask: int) -> bool:
+    """The pair-graph half of the prediction: every component has a
+    distinguishing pair under the finals mask."""
+    for comp in components:
+        if not has_distinguishing_pair(comp, mask):
+            return False
+    return True
 
 
 def predict_minimal(p: ProductAutomaton, finals: Iterable[int] | int) -> bool:
@@ -211,10 +223,8 @@ def predict_minimal(p: ProductAutomaton, finals: Iterable[int] | int) -> bool:
     This route never runs the minimizer; campaigns compare it against the
     minimization oracle on every instance.
     """
-    if not is_connected(p):
-        return False
-    mask = _as_mask(finals)
-    return all(has_distinguishing_pair(c, mask) for c in pair_graph(p).components)
+    mask = finals_to_mask(finals)
+    return is_connected(p) and all_distinguished(pair_graph(p).components, mask)
 
 
 def predict_connected(left_basis: Basis, right_basis: Basis) -> bool:
@@ -235,22 +245,6 @@ class StabilizerImage:
     order: int
 
 
-def _images_even(t: tuple[int, ...]) -> bool:
-    seen = [False] * len(t)
-    swaps = 0
-    for start in range(len(t)):
-        if seen[start]:
-            continue
-        q = start
-        size = 0
-        while not seen[q]:
-            seen[q] = True
-            size += 1
-            q = t[q]
-        swaps += size - 1
-    return swaps % 2 == 0
-
-
 def stabilizer_image(p: ProductAutomaton, cap: Optional[int] = None) -> StabilizerImage:
     """Build the product transition group, keep the elements whose left part
     fixes 0, and classify what their right parts form."""
@@ -258,33 +252,21 @@ def stabilizer_image(p: ProductAutomaton, cap: Optional[int] = None) -> Stabiliz
     if cap is None:
         cap = DEFAULT_PRODUCT_GROUP_CAP
     m, n = p.left_count, p.right_count
+    # The product group acts on m + n points: left states as they are, right
+    # states offset by m.
     gens = [
-        (tuple(p.left.actions[letter]), tuple(p.right.actions[letter]))
+        tuple(p.left.actions[letter]) + tuple(m + q for q in p.right.actions[letter])
         for letter in p.alphabet
     ]
-    ident = (tuple(range(m)), tuple(range(n)))
-    elements = {ident}
-    frontier = [ident]
-    while frontier:
-        step = []
-        for (xl, xr) in frontier:
-            for (gl, gr) in gens:
-                y = (tuple(map(xl.__getitem__, gl)), tuple(map(xr.__getitem__, gr)))
-                if y not in elements:
-                    elements.add(y)
-                    if len(elements) > cap:
-                        raise CapExceededError(f"product group exceeded cap of {cap}")
-                    step.append(y)
-        frontier = step
-
-    image = {r for (l, r) in elements if l[0] == 0}
+    elements = _closure_images(gens, [tuple(range(m + n))], cap=cap)
+    image = {tuple(q - m for q in e[m:]) for e in elements if e[0] == 0}
     order = len(image)
     if order == math.factorial(n):
         return StabilizerImage("symmetric", None, order)
     common = [q for q in range(n) if all(r[q] == q for r in image)]
     if common and order == math.factorial(n - 1):
         return StabilizerImage("point_stabilizer", common[0], order)
-    if order == math.factorial(n) // 2 and all(_images_even(r) for r in image):
+    if order == math.factorial(n) // 2 and all(Perm(r).is_even() for r in image):
         return StabilizerImage("alternating", None, order)
     return StabilizerImage("other", None, order)
 
@@ -299,32 +281,27 @@ def format_pair_graph(
     if graph is None:
         graph = pair_graph(p)
     n = p.right_count
-    mask = None if finals is None else _as_mask(finals)
+    mask = None if finals is None else finals_to_mask(finals)
     connected = is_connected(p)
     lines = [
         f"pairgraph m={p.left_count} n={p.right_count} "
         f"vertices={len(graph.vertices)} components={len(graph.components)} "
         f"connected={'true' if connected else 'false'}"
     ]
-    all_distinguished = True
     for idx, comp in enumerate(graph.components, start=1):
         label = classify_component(comp, p.left_count, p.right_count)
         lines.append(
             f"component {idx} kind={label.kind} "
             f"exact={'true' if label.exact else 'false'} size={len(comp)}"
         )
-        found = False
         for (u, v) in comp:
             star = ""
             if mask is not None and ((mask >> u) ^ (mask >> v)) & 1:
                 star = " *"
-                found = True
             i, j = divmod(u, n)
             k, l = divmod(v, n)
             lines.append(f"  {{({i},{j}),({k},{l})}}{star}")
-        if mask is not None and not found:
-            all_distinguished = False
     if mask is not None:
-        value = connected and all_distinguished
+        value = connected and all_distinguished(graph.components, mask)
         lines.append(f"predicted minimal: {'true' if value else 'false'}")
     return "\n".join(lines) + "\n"

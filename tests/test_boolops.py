@@ -8,7 +8,6 @@ from permdfa import (
     BoolFn,
     CANONICAL_TABLES,
     NAMED_TABLES,
-    final_set_product,
     is_proper,
     proper_functions,
     representative_of,
@@ -123,36 +122,3 @@ class TestRepresentative:
             rep = representative_of(f)
             assert rep.table in CANONICAL_TABLES
             assert rep.table in (f.table, f.complement().table)
-
-
-class TestFinalSetProduct:
-    def test_and(self):
-        got = final_set_product(BoolFn.by_name("and"), {0}, 2, {0, 1}, 3)
-        assert got == frozenset({(0, 0), (0, 1)})
-
-    def test_xor(self):
-        got = final_set_product(BoolFn.by_name("xor"), {0}, 2, {0, 1}, 3)
-        assert got == frozenset({(0, 2), (1, 0), (1, 1)})
-
-    def test_nor_includes_double_rejects(self):
-        got = final_set_product(BoolFn.by_name("nor"), {0}, 2, {0}, 2)
-        assert got == frozenset({(1, 1)})
-
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            final_set_product(BoolFn.by_name("and"), {2}, 2, {0}, 2)
-        with pytest.raises(ValueError):
-            final_set_product(BoolFn.by_name("and"), {0}, 2, {-1}, 2)
-
-    @given(
-        st.integers(0, 15),
-        st.sets(st.integers(0, 3)),
-        st.sets(st.integers(0, 4)),
-    )
-    def test_membership_definition(self, table, f_set, g_set):
-        f = BoolFn.by_table(table)
-        got = final_set_product(f, f_set, 4, g_set, 5)
-        for i in range(4):
-            for j in range(5):
-                expect = bool(f(i in f_set, j in g_set))
-                assert ((i, j) in got) == expect

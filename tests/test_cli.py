@@ -1,5 +1,6 @@
 """End to end runs of the command line interface."""
 
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -65,6 +66,14 @@ class TestConjugateBases:
         assert r.returncode == 0
         assert r.stdout == "none\n"
 
+    def test_degree_nine(self):
+        # (0,1,...,8);(0,1) relabelled by (0,4,2)(1,7)(3,8,5,6)
+        r = run_cli("perm", "conjugate-bases", "-n", "9",
+                    "--b1", "(0,1,2,3,4,5,6,7,8);(0,1)",
+                    "--b2", "(0,8,2,6,3,1,5,4,7);(4,7)")
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "(0,4,2)(1,7)(3,8,5,6)\n"
+
     def test_bad_cycle_text(self):
         r = run_cli("perm", "conjugate-bases", "-n", "3",
                     "--b1", "(0,5);(0,1)", "--b2", "(0,1,2);(0,1)")
@@ -84,6 +93,19 @@ class TestComplexity:
                     "--right", automata["right"], "--table", "0110")
         assert r.returncode == 0
         assert r.stdout == "6\n"
+
+    def test_table_text_through_either_flag(self, automata):
+        for args in (("--op", "0110"), ("--table", "xor")):
+            r = run_cli("complexity", "--left", automata["left"],
+                        "--right", automata["right"], *args)
+            assert r.returncode == 0
+            assert r.stdout == "6\n"
+
+    def test_bad_table(self, automata):
+        r = run_cli("complexity", "--left", automata["left"],
+                    "--right", automata["right"], "--table", "01x0")
+        assert r.returncode == 2
+        assert r.stderr.startswith("error:")
 
     def test_missing_finals(self, automata):
         r = run_cli("complexity", "--left", automata["left"],
@@ -114,6 +136,14 @@ class TestPairgraph:
                             "connected=true")
         assert lines[-1] == "predicted minimal: true"
         assert any(ln.endswith("*") for ln in lines)
+
+    def test_table_matches_name(self, automata):
+        by_name = run_cli("pairgraph", "--left", automata["left"],
+                          "--right", automata["right"], "--op", "xor")
+        by_table = run_cli("pairgraph", "--left", automata["left"],
+                           "--right", automata["right"], "--table", "0110")
+        assert by_table.returncode == 0
+        assert by_table.stdout == by_name.stdout
 
     def test_without_operation(self, automata):
         r = run_cli("pairgraph", "--left", automata["left"],
@@ -182,6 +212,27 @@ class TestVerify:
                     "--ops", "0000")
         assert r.returncode == 2
         assert "proper" in r.stderr
+
+
+class TestPinnedReports:
+    # Report digests and summaries recorded from the CLI before any
+    # refactoring; perfbench/reference.json holds the same two entries.
+    @pytest.mark.parametrize("args,sha256,summary", [
+        (("--m", "2", "--n", "3", "--exhaustive"),
+         "e8fc49ff9e60d8e514d256870a19d6dc13dae607a8d5404208e999377030a873",
+         "summary: total=6480 pass=6480 exception-expected=0 fail=0"
+         " conjugate=0"),
+        (("--m", "5", "--n", "5", "--samples", "1000", "--seed", "1"),
+         "f881ff7136c3fb512558ea9c83db3f8857c2acacf2ba5de3c1575256b1730c74",
+         "summary: total=1000 pass=1000 exception-expected=0 fail=0"
+         " conjugate=143"),
+    ])
+    def test_report_digest(self, tmp_path, args, sha256, summary):
+        out = tmp_path / "report.tsv"
+        r = run_cli("verify", *args, "--out", str(out))
+        assert r.returncode == 0
+        assert r.stderr == summary + "\n"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 class TestReproduce:

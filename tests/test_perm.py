@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from permdfa import (
     generates_symmetric,
     parse_cycles,
 )
+from permdfa.harness import enumerate_bases
 
 
 def perms(degree):
@@ -285,7 +288,6 @@ class TestBasesConjugate:
         assert found == r
 
     def test_uniqueness_by_brute_force(self):
-        import itertools
         b1 = Basis.parse("(0,1,2);(0,1)", 3)
         b2 = Basis.parse("(0,1,2);(1,2)", 3)
         hits = []
@@ -294,6 +296,46 @@ class TestBasesConjugate:
             if conjugate(r, b1.s) == b2.s and conjugate(r, b1.t) == b2.t:
                 hits.append(r)
         assert hits == [bases_conjugate(b1, b2)]
+
+
+def conjugators_by_scan(b1, b2):
+    """Reference: every r of S_n, in lexicographic order, with
+    r*s1*r^-1 == s2 and r*t1*r^-1 == t2, found by scanning all n! of them."""
+    s1, t1 = b1.s.image, b1.t.image
+    s2, t2 = b2.s.image, b2.t.image
+    return [
+        Perm(r) for r in itertools.permutations(range(b1.degree))
+        if all(s2[r[i]] == r[s1[i]] and t2[r[i]] == r[t1[i]]
+               for i in range(b1.degree))
+    ]
+
+
+class TestConjugacyAgainstScan:
+    def check(self, b1, b2):
+        hits = conjugators_by_scan(b1, b2)
+        if b1.degree >= 3:
+            assert len(hits) <= 1
+        assert bases_conjugate(b1, b2) == (hits[0] if hits else None)
+        return bool(hits)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_pair(self, n):
+        bases = enumerate_bases(n)
+        found = sum(self.check(b1, b2) for b1 in bases for b2 in bases)
+        # S_2 is abelian, so there a basis is conjugate only to itself;
+        # above degree 2 relabelling moves each basis to n! distinct ones
+        assert found == len(bases) * (1 if n == 2 else math.factorial(n))
+
+    def test_seeded_degree_four_sample(self):
+        rng = random.Random(4)
+        bases = enumerate_bases(4)
+        found = 0
+        for _ in range(300):
+            found += self.check(rng.choice(bases), rng.choice(bases))
+            b = rng.choice(bases)
+            r = Perm(rng.sample(range(4), 4))
+            assert self.check(b, Basis(conjugate(r, b.s), conjugate(r, b.t)))
+        assert found > 0
 
 
 class TestCounting:

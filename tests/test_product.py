@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from permdfa import (
     Basis,
@@ -28,6 +30,7 @@ from permdfa import (
     stabilizer_image,
 )
 from permdfa.harness import enumerate_bases
+from permdfa.product import flat_final_mask
 
 B2 = Basis.parse("id;(0,1)", 2)
 B3 = Basis.parse("(0,1,2);(0,1)", 3)
@@ -196,6 +199,45 @@ class TestPredictions:
 
     def test_different_degrees_always_connected(self):
         assert predict_connected(B2, B3)
+
+
+class TestFlatFinalSet:
+    # Flat index i*n+j stands for the product state (i, j).
+
+    def test_and(self):
+        got = flat_final_set(BoolFn.by_name("and"), {0}, 2, {0, 1}, 3)
+        assert got == frozenset({0 * 3 + 0, 0 * 3 + 1})
+
+    def test_xor(self):
+        got = flat_final_set(BoolFn.by_name("xor"), {0}, 2, {0, 1}, 3)
+        assert got == frozenset({0 * 3 + 2, 1 * 3 + 0, 1 * 3 + 1})
+
+    def test_nor_includes_double_rejects(self):
+        got = flat_final_set(BoolFn.by_name("nor"), {0}, 2, {0}, 2)
+        assert got == frozenset({1 * 2 + 1})
+
+    def test_range_validation(self):
+        with pytest.raises(ValueError):
+            flat_final_set(BoolFn.by_name("and"), {2}, 2, {0}, 2)
+        with pytest.raises(ValueError):
+            flat_final_set(BoolFn.by_name("and"), {0}, 2, {-1}, 2)
+
+    @given(
+        st.integers(0, 15),
+        st.sets(st.integers(0, 3)),
+        st.sets(st.integers(0, 4)),
+    )
+    def test_membership_definition(self, table, f_set, g_set):
+        f = BoolFn.by_table(table)
+        got = flat_final_set(f, f_set, 4, g_set, 5)
+        mask = flat_final_mask(f, sum(1 << i for i in f_set), 4,
+                               sum(1 << j for j in g_set), 5)
+        for i in range(4):
+            for j in range(5):
+                expect = bool(f(i in f_set, j in g_set))
+                assert (i * 5 + j in got) == expect
+                assert bool(mask >> (i * 5 + j) & 1) == expect
+        assert mask >> 20 == 0
 
 
 class TestStabilizerImage:
