@@ -314,27 +314,29 @@ def distinguishability_complexity(d: DFA) -> int:
     finals = d.finals
     acts = [d.actions[letter] for letter in d.alphabet]
     marked: set[tuple[int, int]] = set()
+    unmarked: list[tuple[int, int]] = []
     for i, p in enumerate(reach):
         for q in reach[i + 1 :]:
             if (p in finals) != (q in finals):
                 marked.add((p, q))
+            else:
+                unmarked.append((p, q))
     changed = True
     while changed:
         changed = False
-        for i, p in enumerate(reach):
-            for q in reach[i + 1 :]:
-                if (p, q) in marked:
-                    continue
-                for act in acts:
-                    x, y = act[p], act[q]
-                    if x == y:
-                        continue
-                    if x > y:
-                        x, y = y, x
-                    if (x, y) in marked:
-                        marked.add((p, q))
-                        changed = True
-                        break
+        still = []
+        for p, q in unmarked:
+            for act in acts:
+                x, y = act[p], act[q]
+                if x > y:
+                    x, y = y, x
+                if (x, y) in marked:
+                    marked.add((p, q))
+                    changed = True
+                    break
+            else:
+                still.append((p, q))
+        unmarked = still
     parent = {q: q for q in reach}
 
     def find(x: int) -> int:
@@ -343,12 +345,10 @@ def distinguishability_complexity(d: DFA) -> int:
             x = parent[x]
         return x
 
-    for i, p in enumerate(reach):
-        for q in reach[i + 1 :]:
-            if (p, q) not in marked:
-                rp, rq = find(p), find(q)
-                if rp != rq:
-                    parent[rq] = rp
+    for p, q in unmarked:
+        rp, rq = find(p), find(q)
+        if rp != rq:
+            parent[rq] = rp
     return len({find(q) for q in reach})
 
 

@@ -3,8 +3,13 @@
 Every instance is judged by two independent routes: the structural
 prediction (connectivity of the product plus distinguishing pairs in the
 pair graph) and the Moore minimization oracle.  The two must agree that an
-instance is minimal exactly when the oracle count equals m*n; a disagreement
+instance is minimal exactly when the oracle count equals m*n, and every
+count below m*n is recomputed by the table-filling oracle; a disagreement
 aborts the whole campaign, because it would mean one of the routes is wrong.
+
+Complementing the product's finals changes neither the Nerode partition nor
+which pair-graph components hold a distinguishing pair, so within one basis
+pair each {mask, ~mask} is judged once and later rows reuse the verdict.
 
 Campaigns stream rows in a fixed order (bases lexicographic, then left
 finals, then right finals, then operation table ascending; samples in index
@@ -18,7 +23,9 @@ from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, TextIO, Tuple
 
 from .automaton import (
+    DFA,
     Semiautomaton,
+    distinguishability_complexity,
     finals_to_mask,
     from_basis,
     is_connected,
@@ -75,6 +82,24 @@ def _bool_text(flag: bool) -> str:
     return "true" if flag else "false"
 
 
+# A report row is the pair's prefix, the combo's text and the verdict; the
+# three helpers below are the only definition of the row format.
+def _row_prefix(m: int, n: int, b1: str, b2: str, conjugate: bool,
+                connected: bool) -> str:
+    return (f"{m}\t{n}\t{b1}\t{b2}\t{_bool_text(conjugate)}"
+            f"\t{_bool_text(connected)}\t")
+
+
+def _combo_text(finals_left: Sequence[int], finals_right: Sequence[int],
+                op: BoolFn) -> str:
+    return (",".join(map(str, finals_left)) + "\t"
+            + ",".join(map(str, finals_right)) + "\t" + op.label())
+
+
+def _verdict_text(predicted: bool, oracle: int, status: str) -> str:
+    return f"\t{_bool_text(predicted)}\t{oracle}\t{status}"
+
+
 @lru_cache(maxsize=None)
 def enumerate_bases(n: int) -> Tuple[Basis, ...]:
     """All ordered generating pairs of S_n, lexicographic by image tuples.
@@ -124,20 +149,10 @@ class VerificationRecord:
     status: str
 
     def tsv_row(self) -> str:
-        return "\t".join((
-            str(self.m),
-            str(self.n),
-            self.b1,
-            self.b2,
-            _bool_text(self.conjugate),
-            _bool_text(self.connected),
-            ",".join(map(str, self.finals_left)),
-            ",".join(map(str, self.finals_right)),
-            self.op.label(),
-            _bool_text(self.predicted),
-            str(self.oracle),
-            self.status,
-        ))
+        return (_row_prefix(self.m, self.n, self.b1, self.b2,
+                            self.conjugate, self.connected)
+                + _combo_text(self.finals_left, self.finals_right, self.op)
+                + _verdict_text(self.predicted, self.oracle, self.status))
 
 
 @dataclass
@@ -169,8 +184,8 @@ class _PairContext:
 
     __slots__ = (
         "b1_text", "b2_text", "m", "n", "mn", "conjugate", "connected",
-        "actions", "reachable", "fixes_initial", "conjugate_shape_ok",
-        "components",
+        "product", "actions", "reachable", "fixes_initial",
+        "conjugate_shape_ok", "components", "prefix", "full", "verdicts",
     )
 
     def __init__(self, b1: Basis, b2: Basis):
@@ -183,7 +198,7 @@ class _PairContext:
         if self.m == self.n:
             conjugator = bases_conjugate(b1, b2)
         self.conjugate = conjugator is not None
-        prod = direct_product(from_basis(b1), from_basis(b2))
+        prod = self.product = direct_product(from_basis(b1), from_basis(b2))
         self.actions = [prod.actions[letter] for letter in prod.alphabet]
         self.reachable = reachable_states(prod)
         self.connected = len(self.reachable) == self.mn
@@ -207,12 +222,26 @@ class _PairContext:
                 tuple(c) for c in pair_graph(prod).components]
         else:
             self.components = None
+        self.prefix = _row_prefix(self.m, self.n, self.b1_text, self.b2_text,
+                                  self.conjugate, self.connected)
+        self.full = (1 << self.mn) - 1
+        # Complement-canonical flat mask (bit mn-1 clear) -> _judge_mask.
+        self.verdicts = {}
+
+
+def _combo(finals_left: Tuple[int, ...], finals_right: Tuple[int, ...],
+           op: BoolFn, m: int, n: int):
+    """One (F, F', op) choice with its flat finals mask and row text."""
+    flat = flat_final_mask(op, finals_to_mask(finals_left), m,
+                           finals_to_mask(finals_right), n)
+    return (finals_left, finals_right, op, flat,
+            _combo_text(finals_left, finals_right, op))
 
 
 def _final_op_combos(m: int, n: int, ops: Sequence[BoolFn]):
-    """Every (F, F', op) choice with the flat finals mask precomputed.
+    """Every (F, F', op) choice as _combo builds it.
 
-    The masks only depend on m, n and the operation tables, so one table is
+    The combos only depend on m, n and the operation tables, so one table is
     shared by every basis pair of a sweep.
     """
     combos = []
@@ -221,8 +250,7 @@ def _final_op_combos(m: int, n: int, ops: Sequence[BoolFn]):
         for gmask in range(1, (1 << n) - 1):
             finals_right = tuple(j for j in range(n) if gmask >> j & 1)
             for op in ops:
-                flat = flat_final_mask(op, fmask, m, gmask, n)
-                combos.append((finals_left, finals_right, op, flat))
+                combos.append(_combo(finals_left, finals_right, op, m, n))
     return combos
 
 
@@ -246,21 +274,36 @@ def _judge(ctx: _PairContext, oracle: int) -> str:
     return STATUS_FAIL
 
 
+def _judge_mask(ctx: _PairContext, flat: int):
+    """Both routes on one finals mask: (predicted, oracle, status, disagree,
+    the row's verdict text with its newline)."""
+    mn = ctx.mn
+    predicted = ctx.connected and all_distinguished(ctx.components, flat)
+    oracle = moore_complexity(ctx.actions, ctx.reachable, flat, mn)
+    disagree = predicted != (oracle == mn)
+    if oracle < mn and not disagree:
+        p = ctx.product
+        finals = [q for q in range(mn) if flat >> q & 1]
+        dfa = DFA(mn, p.alphabet, p.actions, p.initial, finals)
+        disagree = distinguishability_complexity(dfa) != oracle
+    status = STATUS_FAIL if disagree else _judge(ctx, oracle)
+    return (predicted, oracle, status, disagree,
+            _verdict_text(predicted, oracle, status) + "\n")
+
+
 def _evaluate(
     ctx: _PairContext,
-    finals_left: Tuple[int, ...],
-    finals_right: Tuple[int, ...],
-    op: BoolFn,
-    flat: int,
+    combo: Tuple[Tuple[int, ...], Tuple[int, ...], BoolFn, int, str],
     result: CampaignResult,
     sink: Optional[Callable[[VerificationRecord], None]],
     out: Optional[TextIO],
 ) -> None:
-    predicted = ctx.connected and all_distinguished(ctx.components, flat)
-    oracle = moore_complexity(ctx.actions, ctx.reachable, flat, ctx.mn)
-
-    disagree = predicted != (oracle == ctx.mn)
-    status = STATUS_FAIL if disagree else _judge(ctx, oracle)
+    finals_left, finals_right, op, flat, text = combo
+    key = flat ^ ctx.full if flat >> (ctx.mn - 1) & 1 else flat
+    verdict = ctx.verdicts.get(key)
+    if verdict is None:
+        verdict = ctx.verdicts[key] = _judge_mask(ctx, flat)
+    predicted, oracle, status, disagree, suffix = verdict
 
     result.total += 1
     if status == STATUS_PASS:
@@ -279,16 +322,16 @@ def _evaluate(
         result.below_mn += 1
 
     record = None
-    if sink is not None or out is not None or disagree or (
-            status == STATUS_FAIL and result.first_fail is None):
+    if sink is not None or status == STATUS_FAIL and (
+            disagree or result.first_fail is None):
         record = VerificationRecord(
             ctx.m, ctx.n, ctx.b1_text, ctx.b2_text, ctx.conjugate,
             ctx.connected, finals_left, finals_right, op, predicted,
             oracle, status)
-    if record is not None and status == STATUS_FAIL and result.first_fail is None:
-        result.first_fail = record
+        if status == STATUS_FAIL and result.first_fail is None:
+            result.first_fail = record
     if out is not None:
-        out.write(record.tsv_row() + "\n")
+        out.write(ctx.prefix + text + suffix)
     if sink is not None:
         sink(record)
     if disagree:
@@ -309,10 +352,9 @@ def evaluate_instance(
     if not (0 < fmask < (1 << m) - 1) or not (0 < gmask < (1 << n) - 1):
         raise ValueError("final sets must be proper and nonempty")
     holder: List[VerificationRecord] = []
-    ctx = _PairContext(b1, b2)
-    flat = flat_final_mask(op, fmask, m, gmask, n)
-    _evaluate(ctx, tuple(sorted(set(finals_left))),
-              tuple(sorted(set(finals_right))), op, flat,
+    combo = _combo(tuple(sorted(set(finals_left))),
+                   tuple(sorted(set(finals_right))), op, m, n)
+    _evaluate(_PairContext(b1, b2), combo,
               CampaignResult(CampaignConfig(m, n)), holder.append, None)
     return holder[0]
 
@@ -349,9 +391,8 @@ def verify_theorem1(
     if out is not None:
         out.write(REPORT_HEADER + "\n")
     for ctx, combos in instances:
-        for finals_left, finals_right, op, flat in combos:
-            _evaluate(ctx, finals_left, finals_right, op, flat,
-                      result, sink, out)
+        for combo in combos:
+            _evaluate(ctx, combo, result, sink, out)
     return result
 
 
@@ -433,8 +474,8 @@ def _sampled_instances(config: CampaignConfig):
         op = ops[rng.randrange(len(ops))]
         finals_left = tuple(a for a in range(m) if fmask >> a & 1)
         finals_right = tuple(b for b in range(n) if gmask >> b & 1)
-        flat = flat_final_mask(op, fmask, m, gmask, n)
-        yield _PairContext(b1, b2), ((finals_left, finals_right, op, flat),)
+        yield _PairContext(b1, b2), (
+            _combo(finals_left, finals_right, op, m, n),)
 
 
 @dataclass

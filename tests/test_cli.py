@@ -216,7 +216,7 @@ class TestVerify:
 
 class TestPinnedReports:
     # Report digests and summaries recorded from the CLI before any
-    # refactoring; perfbench/reference.json holds the same two entries.
+    # refactoring; perfbench/reference.json holds the same entries.
     @pytest.mark.parametrize("args,sha256,summary", [
         (("--m", "2", "--n", "3", "--exhaustive"),
          "e8fc49ff9e60d8e514d256870a19d6dc13dae607a8d5404208e999377030a873",
@@ -226,6 +226,10 @@ class TestPinnedReports:
          "f881ff7136c3fb512558ea9c83db3f8857c2acacf2ba5de3c1575256b1730c74",
          "summary: total=1000 pass=1000 exception-expected=0 fail=0"
          " conjugate=143"),
+        (("--m", "3", "--n", "4", "--exhaustive", "--ops", "xor,xnor"),
+         "e2c154aea89bacf7170d0c2ea3d088e2faf384c32501ddf859b0238be3837d67",
+         "summary: total=653184 pass=622080 exception-expected=31104 fail=0"
+         " conjugate=0"),
     ])
     def test_report_digest(self, tmp_path, args, sha256, summary):
         out = tmp_path / "report.tsv"

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from permdfa import Basis, BoolFn, CapExceededError
+from permdfa import Basis, BoolFn, CapExceededError, TwoPathDisagreement
+from permdfa import harness
+from permdfa.automaton import finals_to_mask
 from permdfa.harness import (
     CampaignConfig,
     REPORT_HEADER,
@@ -19,6 +21,7 @@ from permdfa.harness import (
     verify_theorem1,
     verify_theorem2,
 )
+from permdfa.product import flat_final_mask
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -225,6 +228,89 @@ class TestPinnedInstances:
         with pytest.raises(ValueError):
             evaluate_instance(self.B34_LEFT, self.B34_RIGHT, [0, 1, 2], [0],
                               BoolFn.by_name("and"))
+
+
+class TestComplementMemo:
+    """Campaign rows reuse one verdict per {mask, ~mask} within a basis pair;
+    evaluate_instance builds a fresh pair context, so it never reuses one."""
+
+    @staticmethod
+    def _unmemoized_rows(m, n, ops):
+        rows = [REPORT_HEADER]
+        for b1 in enumerate_bases(m):
+            for b2 in enumerate_bases(n):
+                for fmask in range(1, (1 << m) - 1):
+                    left = [i for i in range(m) if fmask >> i & 1]
+                    for gmask in range(1, (1 << n) - 1):
+                        right = [j for j in range(n) if gmask >> j & 1]
+                        for op in ops:
+                            rows.append(evaluate_instance(
+                                b1, b2, left, right, op).tsv_row())
+        return rows
+
+    @pytest.mark.parametrize("m,n,ops", [
+        (2, 3, ()),
+        (3, 3, ("and", "xor")),
+    ])
+    def test_rows_equal_unmemoized_rows(self, m, n, ops):
+        # 3x3 covers the conjugate (disconnected) branch
+        cfg = CampaignConfig(m, n, ops=tuple(map(BoolFn.by_name, ops)))
+        buf = io.StringIO()
+        verify_theorem1(cfg, out=buf)
+        rows = buf.getvalue().splitlines()
+        assert rows == self._unmemoized_rows(m, n, cfg.resolved_ops())
+
+    @pytest.fixture
+    def one_pair(self, monkeypatch):
+        # the 3x4 pair of TestPinnedInstances, which has shortfalls
+        pairs = {3: (TestPinnedInstances.B34_LEFT,),
+                 4: (TestPinnedInstances.B34_RIGHT,)}
+        monkeypatch.setattr(harness, "enumerate_bases", pairs.__getitem__)
+        return CampaignConfig(3, 4)
+
+    def test_table_filling_disagreement_aborts(self, one_pair, monkeypatch):
+        real = harness.distinguishability_complexity
+        monkeypatch.setattr(harness, "distinguishability_complexity",
+                            lambda d: real(d) - 1)
+        buf = io.StringIO()
+        with pytest.raises(TwoPathDisagreement) as info:
+            verify_theorem1(one_pair, out=buf)
+        row = info.value.row.split("\t")
+        assert int(row[10]) < 12 and row[11] == "FAIL"
+        assert buf.getvalue().splitlines()[-1] == info.value.row
+
+    def test_table_filling_runs_once_per_shortfall_mask(
+            self, one_pair, monkeypatch):
+        counts = []
+        real = harness.distinguishability_complexity
+
+        def recording(d):
+            counts.append(real(d))
+            return counts[-1]
+
+        monkeypatch.setattr(harness, "distinguishability_complexity",
+                            recording)
+        rows = []
+        res = verify_theorem1(one_pair, sink=rows.append)
+        assert res.ok and res.total == 840
+        assert counts and all(c < 12 for c in counts)
+        full = (1 << 12) - 1
+        shortfall_masks = set()
+        for r in rows:
+            if r.oracle < 12:
+                flat = flat_final_mask(r.op, finals_to_mask(r.finals_left),
+                                       3, finals_to_mask(r.finals_right), 4)
+                shortfall_masks.add(min(flat, flat ^ full))
+        assert len(counts) == len(shortfall_masks)
+
+    def test_full_complexity_skips_table_filling(self, monkeypatch):
+        def forbidden(d):
+            raise AssertionError("table filling ran on an m*n row")
+
+        monkeypatch.setattr(harness, "distinguishability_complexity",
+                            forbidden)
+        res = verify_theorem1(CampaignConfig(2, 3))
+        assert res.n_pass == res.total == 6480
 
 
 class TestSampling:

@@ -26,9 +26,12 @@ from permdfa import (
     pair_graph,
     predict_connected,
     proper_functions,
+    reachable_states,
     transition_semigroup,
 )
+from permdfa.automaton import moore_complexity
 from permdfa.harness import enumerate_bases
+from permdfa.product import all_distinguished
 
 
 def perms(max_degree=8):
@@ -143,6 +146,26 @@ class TestMinimizationOracles:
             assert small.state_count == k
             again, k2 = minimize(small)
             assert k2 == k
+
+
+class TestComplementInvariance:
+    # Campaigns judge each {mask, ~mask} once per basis pair; this is the
+    # lemma that makes the reuse sound.
+    @given(st.integers(2, 5), st.integers(2, 5), st.integers(0, 2**32),
+           st.integers(0, 2**25 - 1))
+    def test_complement_keeps_both_routes(self, m, n, seed, bits):
+        rng = random.Random(seed)
+        p = direct_product(from_basis(_random_basis(rng, m)),
+                           from_basis(_random_basis(rng, n)))
+        full = (1 << (m * n)) - 1
+        mask = bits & full
+        actions = [p.actions[letter] for letter in p.alphabet]
+        reach = reachable_states(p)
+        components = pair_graph(p).components
+        assert (moore_complexity(actions, reach, mask, m * n)
+                == moore_complexity(actions, reach, full ^ mask, m * n))
+        assert (all_distinguished(components, mask)
+                == all_distinguished(components, full ^ mask))
 
 
 class TestEqualClassSizes:
