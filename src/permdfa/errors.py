@@ -26,12 +26,20 @@ class CapExceededError(RuntimeError):
 
 
 class TwoPathDisagreement(RuntimeError):
-    """The structural prediction and the minimization oracle disagreed.
+    """Two routes that judge an instance disagreed.
 
-    This should be impossible; it means a bug in one of the two routes. The
-    offending instance is kept in serialized form for replay.
+    Either the structural prediction disagreed with the Moore oracle, or the
+    Moore and table-filling minimizers counted different state numbers; then
+    table_filling holds the second count, else it is None. This should be
+    impossible; it means a bug in one of the routes. The offending instance
+    is kept in serialized form for replay.
     """
 
-    def __init__(self, row: str):
+    def __init__(self, row: str, moore: int | None = None,
+                 table_filling: int | None = None):
         self.row = row
-        super().__init__(f"prediction and oracle disagree on instance: {row}")
+        self.moore = moore
+        self.table_filling = table_filling
+        routes = ("prediction and oracle disagree" if table_filling is None
+                  else f"Moore {moore} vs table-filling {table_filling}")
+        super().__init__(f"{routes} on instance: {row}")

@@ -11,6 +11,14 @@ Complementing the product's finals changes neither the Nerode partition nor
 which pair-graph components hold a distinguishing pair, so within one basis
 pair each {mask, ~mask} is judged once and later rows reuse the verdict.
 
+Exhaustive campaigns judge one basis pair per orbit of S_m x S_n relabelling
+both bases; the orbit's other connected pairs reuse its verdicts (see
+_sweep).  evaluate_instance builds a fresh context per instance and so is
+the unreduced reference.
+
+The reproduction reports live in reproductions; reproduce and
+REPRODUCE_IDS are re-exported here.
+
 Campaigns stream rows in a fixed order (bases lexicographic, then left
 finals, then right finals, then operation table ascending; samples in index
 order), so a report written twice with the same configuration is
@@ -20,18 +28,17 @@ byte-identical.
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, itemgetter
 from typing import Callable, List, Optional, Sequence, TextIO, Tuple
 
 from .automaton import (
     DFA,
-    Semiautomaton,
     distinguishability_complexity,
     finals_to_mask,
     from_basis,
     is_connected,
     moore_complexity,
     reachable_states,
-    transition_semigroup,
 )
 from .boolops import BoolFn, proper_functions
 from .errors import CapExceededError, TwoPathDisagreement
@@ -40,19 +47,17 @@ from .perm import (
     Perm,
     bases_conjugate,
     conjugate,
-    format_cycles,
+    conjugation_orbits,
     generating_pairs,
 )
 from .product import (
     all_distinguished,
-    classify_component,
     direct_product,
     flat_final_mask,
-    format_pair_graph,
-    has_distinguishing_pair,
     pair_graph,
     predict_connected,
 )
+from .reproductions import REPRODUCE_IDS, reproduce
 
 STATUS_PASS = "PASS"
 STATUS_FAIL = "FAIL"
@@ -276,16 +281,25 @@ def _judge(ctx: _PairContext, oracle: int) -> str:
 
 def _judge_mask(ctx: _PairContext, flat: int):
     """Both routes on one finals mask: (predicted, oracle, status, disagree,
-    the row's verdict text with its newline)."""
+    the row's verdict text with its newline).
+
+    disagree is None when the routes agree, else the counts a
+    TwoPathDisagreement carries: (Moore, None) when the prediction disagrees
+    with Moore, (Moore, table-filling) when the two minimizers do.
+    """
     mn = ctx.mn
     predicted = ctx.connected and all_distinguished(ctx.components, flat)
     oracle = moore_complexity(ctx.actions, ctx.reachable, flat, mn)
-    disagree = predicted != (oracle == mn)
-    if oracle < mn and not disagree:
+    disagree = None
+    if predicted != (oracle == mn):
+        disagree = (oracle, None)
+    elif oracle < mn:
         p = ctx.product
         finals = [q for q in range(mn) if flat >> q & 1]
         dfa = DFA(mn, p.alphabet, p.actions, p.initial, finals)
-        disagree = distinguishability_complexity(dfa) != oracle
+        table_filling = distinguishability_complexity(dfa)
+        if table_filling != oracle:
+            disagree = (oracle, table_filling)
     status = STATUS_FAIL if disagree else _judge(ctx, oracle)
     return (predicted, oracle, status, disagree,
             _verdict_text(predicted, oracle, status) + "\n")
@@ -335,7 +349,7 @@ def _evaluate(
     if sink is not None:
         sink(record)
     if disagree:
-        raise TwoPathDisagreement(record.tsv_row())
+        raise TwoPathDisagreement(record.tsv_row(), *disagree)
 
 
 def evaluate_instance(
@@ -383,30 +397,114 @@ def verify_theorem1(
     if config.output is not None and out is None:
         with open(config.output, "w", encoding="ascii") as fh:
             return verify_theorem1(config, sink, fh)
-    if config.mode == "sample":
-        instances = _sampled_instances(config)
-    else:
-        instances = _exhaustive_instances(config)
+    if config.mode == "exhaustive":
+        total = exhaustive_instance_count(config)
+        if total > EXHAUSTIVE_BUDGET:
+            raise CapExceededError(
+                f"exhaustive sweep would visit {total} instances"
+                f" (budget {EXHAUSTIVE_BUDGET}); use sampled mode")
     result = CampaignResult(config)
     if out is not None:
         out.write(REPORT_HEADER + "\n")
-    for ctx, combos in instances:
-        for combo in combos:
+    if config.mode == "sample":
+        for ctx, combo in _sampled_instances(config):
             _evaluate(ctx, combo, result, sink, out)
+    else:
+        _sweep(config, result, sink, out)
     return result
 
 
-def _exhaustive_instances(config: CampaignConfig):
-    """Each basis pair's context with the combo table all pairs share."""
-    total = exhaustive_instance_count(config)
-    if total > EXHAUSTIVE_BUDGET:
-        raise CapExceededError(
-            f"exhaustive sweep would visit {total} instances"
-            f" (budget {EXHAUSTIVE_BUDGET}); use sampled mode")
-    combos = _final_op_combos(config.m, config.n, config.resolved_ops())
-    return ((_PairContext(b1, b2), combos)
-            for b1 in enumerate_bases(config.m)
-            for b2 in enumerate_bases(config.n))
+def _relabelled_offsets(degree: int, stride: int):
+    """(representative index, text, offsets) for each basis of
+    enumerate_bases(degree), where offsets[F - 1] is stride * (r^-1 F - 1)
+    for each proper finals mask F and basis == r * rep * r^-1."""
+    bases = enumerate_bases(degree)
+    table = []
+    for basis, (rep, r) in zip(bases, conjugation_orbits(bases)):
+        img = r.image
+        table.append((rep, str(basis), tuple(
+            stride * (sum(1 << q for q in range(degree) if mask >> img[q] & 1)
+                      - 1)
+            for mask in range(1, (1 << degree) - 1))))
+    return table
+
+
+def _sweep(config: CampaignConfig, result: CampaignResult,
+           sink: Optional[Callable[[VerificationRecord], None]],
+           out: Optional[TextIO]) -> None:
+    """Exhaustive mode, judging one basis pair per relabelling orbit.
+
+    Relabelling both bases by (r, s) in S_m x S_n renames the product state
+    (i, j) as (r(i), s(j)), and a connected product is strongly connected,
+    so its complexity does not depend on the start state.  The pair
+    (r*rep1*r^-1, s*rep2*s^-1) therefore takes, for (F, F', op), the
+    verdict its representative pair (rep1, rep2) gave (r^-1 F, s^-1 F', op).
+    The representative pair comes first in the stream, so its verdicts are
+    complete before any other pair of its orbit reads them.  Conjugate pairs
+    and pairs whose product is disconnected depend on the start state and
+    are judged directly.
+    """
+    m, n = config.m, config.n
+    ops = config.resolved_ops()
+    combos = _final_op_combos(m, n, ops)
+    texts = [combo[4] for combo in combos]
+    # Combo index of (F, F', op) is ((F - 1) * (2^n - 2) + F' - 1) * k + the
+    # op's position, with F and F' as masks and k operations.
+    k = len(ops)
+    positions = list(range(len(combos)))
+    left = _relabelled_offsets(m, ((1 << n) - 2) * k)
+    right = _relabelled_offsets(n, k)
+    judged = {}
+    picks = {}
+    for i, b1 in enumerate(enumerate_bases(m)):
+        rep1, b1_text, f_offsets = left[i]
+        for j, b2 in enumerate(enumerate_bases(n)):
+            rep2, b2_text, g_offsets = right[j]
+            reps = judged.get((rep1, rep2))
+            if reps is None:
+                ctx = _PairContext(b1, b2)
+                for combo in combos:
+                    _evaluate(ctx, combo, result, sink, out)
+                if ((i, j) == (rep1, rep2) and ctx.connected
+                        and not ctx.conjugate):
+                    full = ctx.full
+                    verdicts = [ctx.verdicts[min(c[3], c[3] ^ full)]
+                                for c in combos]
+                    statuses = [v[2] for v in verdicts]
+                    judged[rep1, rep2] = (
+                        verdicts, [v[4] for v in verdicts],
+                        (statuses.count(STATUS_PASS),
+                         statuses.count(STATUS_EXCEPTION),
+                         statuses.count(STATUS_FAIL),
+                         sum(v[1] < ctx.mn for v in verdicts)))
+                continue
+            verdicts, suffixes, tally = reps
+            # pick(xs) lists xs at the representative's index of each combo.
+            # It depends only on the two relabellings, so pairs share it; its
+            # indices come from positions, so cached getters add no ints.
+            pick = picks.get((f_offsets, g_offsets))
+            if pick is None:
+                pick = picks[f_offsets, g_offsets] = itemgetter(*[
+                    positions[f + g + x]
+                    for f in f_offsets for g in g_offsets for x in range(k)])
+            if out is not None:
+                # each row is the pair's prefix, the combo text and the
+                # representative's verdict text, which ends the row
+                prefix = _row_prefix(m, n, b1_text, b2_text, False, True)
+                out.write(prefix + prefix.join(
+                    map(add, texts, pick(suffixes))))
+            result.total += len(combos)
+            result.n_pass += tally[0]
+            result.n_exception += tally[1]
+            result.n_fail += tally[2]
+            result.below_mn += tally[3]
+            if sink is not None:
+                for (finals_left, finals_right, op, _, _), verdict in zip(
+                        combos, pick(verdicts)):
+                    predicted, oracle, status = verdict[:3]
+                    sink(VerificationRecord(
+                        m, n, b1_text, b2_text, False, True, finals_left,
+                        finals_right, op, predicted, oracle, status))
 
 
 def _splitmix64(seed: int, index: int) -> int:
@@ -458,7 +556,7 @@ def sample_instances(
 
 
 def _sampled_instances(config: CampaignConfig):
-    """Each sample's context with its one (F, F', op) combo."""
+    """Each sample's context with its (F, F', op) combo."""
     m, n = config.m, config.n
     ops = config.resolved_ops()
     for i in range(config.sample_count):
@@ -474,8 +572,8 @@ def _sampled_instances(config: CampaignConfig):
         op = ops[rng.randrange(len(ops))]
         finals_left = tuple(a for a in range(m) if fmask >> a & 1)
         finals_right = tuple(b for b in range(n) if gmask >> b & 1)
-        yield _PairContext(b1, b2), (
-            _combo(finals_left, finals_right, op, m, n),)
+        yield _PairContext(b1, b2), _combo(finals_left, finals_right, op,
+                                           m, n)
 
 
 @dataclass
@@ -501,249 +599,3 @@ def verify_theorem2(m: int, n: int) -> ConnectivityCheck:
             if predicted != actual:
                 mismatches.append((str(b1), str(b2), predicted, actual))
     return ConnectivityCheck(total, mismatches)
-
-
-# ---------------------------------------------------------------------------
-# Reproduction reports.  Each known id rebuilds one worked scenario from
-# first principles and prints the quantities it is about.
-
-REPRODUCE_IDS = (
-    "example-1",
-    "example-2.2",
-    "example-3.2",
-    "example-3.3",
-    "example-3.4",
-    "prop-1",
-)
-
-
-def _complexity_of(b1: Basis, b2: Basis, fmask: int, gmask: int,
-                   op: BoolFn) -> int:
-    ctx = _PairContext(b1, b2)
-    flat = flat_final_mask(op, fmask, b1.degree, gmask, b2.degree)
-    return moore_complexity(ctx.actions, ctx.reachable, flat, ctx.mn)
-
-
-def _reproduce_example_1() -> str:
-    b1 = Basis.parse("(0,1,2);(0,1)", 3)
-    b2 = Basis.parse("(0,1,2);(1,2)", 3)
-    b3 = Basis.parse("(0,1);(0,1,2)", 3)
-    r12 = bases_conjugate(b1, b2)
-    r13 = bases_conjugate(b1, b3)
-    lines = ["reproduce example-1"]
-    lines.append(f"degree 3 bases: b1 = {b1}  b2 = {b2}  b3 = {b3}")
-    lines.append("conjugator b1 -> b2: "
-                 + (format_cycles(r12) if r12 is not None else "none"))
-    lines.append("conjugator b1 -> b3: "
-                 + (format_cycles(r13) if r13 is not None else "none"))
-    orders = [len(transition_semigroup(from_basis(b)).elements)
-              for b in (b1, b2, b3)]
-    lines.append("transition semigroup orders: b1: {}  b2: {}  b3: {}".format(
-        *orders))
-    lines.append("letter a orders: b1: {}  b2: {}  b3: {}".format(
-        b1.s.order(), b2.s.order(), b3.s.order()))
-    for name, other in (("b2", b2), ("b3", b3)):
-        connected = is_connected(direct_product(from_basis(b1), from_basis(other)))
-        lines.append(f"product b1 x {name} connected: {_bool_text(connected)}")
-    return "\n".join(lines) + "\n"
-
-
-def _reproduce_example_2_2() -> str:
-    bases = [Basis.parse(text, 2) for text in
-             ("(0,1);(0,1)", "(0,1);id", "id;(0,1)")]
-    names = ["b1", "b2", "b3"]
-    ops = proper_functions()
-    lines = ["reproduce example-2.2"]
-    lines.append("degree 2 bases: "
-                 + "  ".join(f"{nm} = {b}" for nm, b in zip(names, bases)))
-    conj_pairs = [
-        f"{names[i]},{names[j]}"
-        for i in range(3) for j in range(i + 1, 3)
-        if bases_conjugate(bases[i], bases[j]) is not None
-    ]
-    lines.append("conjugate pairs among b1,b2,b3: "
-                 + (" ".join(conj_pairs) if conj_pairs else "none"))
-    lines.append("products over unordered non-conjugate basis pairs"
-                 " and all F, Fp:")
-    xor_low = xnor_low = others_full = True
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if bases_conjugate(bases[i], bases[j]) is not None:
-                continue
-            for fmask in (1, 2):
-                for gmask in (1, 2):
-                    parts = []
-                    for op in ops:
-                        c = _complexity_of(bases[i], bases[j],
-                                           fmask, gmask, op)
-                        parts.append(f"{op.name}={c}")
-                        if op.name == "xor":
-                            xor_low = xor_low and c < 4
-                        elif op.name == "xnor":
-                            xnor_low = xnor_low and c < 4
-                        else:
-                            others_full = others_full and c == 4
-                    f_text = ",".join(
-                        str(a) for a in range(2) if fmask >> a & 1)
-                    g_text = ",".join(
-                        str(a) for a in range(2) if gmask >> a & 1)
-                    lines.append(
-                        f"{names[i]} x {names[j]} F={f_text} Fp={g_text}: "
-                        + " ".join(parts))
-    lines.append(f"xor below 4 in all products: {_bool_text(xor_low)}")
-    lines.append(f"xnor below 4 in all products: {_bool_text(xnor_low)}")
-    lines.append("other proper ops equal 4 in all products: "
-                 + _bool_text(others_full))
-    return "\n".join(lines) + "\n"
-
-
-def _pair_graph_section(b1: Basis, b2: Basis, flat: int) -> str:
-    prod = direct_product(from_basis(b1), from_basis(b2))
-    graph = pair_graph(prod)
-    return format_pair_graph(prod, graph, flat)
-
-
-def _reproduce_example_3_2() -> str:
-    b1 = Basis.parse("id;(0,1)", 2)
-    b2 = Basis.parse("(0,1,2);(0,1)", 3)
-    op = BoolFn.by_name("xor")
-    fmask, gmask = 0b01, 0b011
-    lines = ["reproduce example-3.2"]
-    lines.append(f"left (2 states): {b1}")
-    lines.append(f"right (3 states): {b2}")
-    lines.append(f"F = 0  Fp = 0,1  op = {op.label()}")
-    flat = flat_final_mask(op, fmask, 2, gmask, 3)
-    lines.append(_pair_graph_section(b1, b2, flat))
-    oracle = _complexity_of(b1, b2, fmask, gmask, op)
-    lines.append(f"oracle complexity: {oracle}")
-    return "\n".join(lines) + "\n"
-
-
-def _reproduce_example_3_3() -> str:
-    b1 = Basis.parse("(0,1);(0,1,2)", 3)
-    b2 = Basis.parse("(0,1);(1,3,2)", 4)
-    fmask, gmask = 0b100, 0b0011
-    lines = ["reproduce example-3.3"]
-    lines.append(f"left (3 states): {b1}")
-    lines.append(f"right (4 states): {b2}")
-    lines.append("F = 2  Fp = 0,1")
-    for op_name in ("and", "xor", "or"):
-        op = BoolFn.by_name(op_name)
-        c = _complexity_of(b1, b2, fmask, gmask, op)
-        lines.append(f"complexity {op.label()}: {c}")
-    op = BoolFn.by_name("and")
-    flat = flat_final_mask(op, fmask, 3, gmask, 4)
-    prod = direct_product(from_basis(b1), from_basis(b2))
-    graph = pair_graph(prod)
-    n = 4
-    want = (prod.flat(0, 0), prod.flat(0, 3))
-    comp = next(c for c in graph.components if want in c)
-    label = classify_component(comp, 3, 4)
-    dist = has_distinguishing_pair(comp, flat)
-    lines.append(
-        "and-instance component containing {(0,0),(0,3)}:"
-        f" kind={label.kind} exact={_bool_text(label.exact)}"
-        f" size={len(comp)}"
-        f" distinguishing={'some' if dist else 'none'}")
-    for (u, v) in comp:
-        i, j = divmod(u, n)
-        k, l = divmod(v, n)
-        lines.append(f"  {{({i},{j}),({k},{l})}}")
-    return "\n".join(lines) + "\n"
-
-
-def _reproduce_example_3_4() -> str:
-    b1 = Basis.parse("(0,1,2);(2,3)", 4)
-    b2 = Basis.parse("(1,3,2);(0,2,1,3)", 4)
-    ctx = _PairContext(b1, b2)
-    lines = ["reproduce example-3.4"]
-    lines.append(f"left (4 states): {b1}")
-    lines.append(f"right (4 states): {b2}")
-    lines.append(f"conjugate: {_bool_text(ctx.conjugate)}")
-    lines.append(f"connected: {_bool_text(ctx.connected)}")
-    for fmask, gmask in ((0b0011, 0b0011), (0b1001, 0b0110)):
-        f_text = ",".join(str(a) for a in range(4) if fmask >> a & 1)
-        g_text = ",".join(str(a) for a in range(4) if gmask >> a & 1)
-        parts = []
-        for op_name in ("and", "diff", "rdiff", "xor", "or"):
-            op = BoolFn.by_name(op_name)
-            c = _complexity_of(b1, b2, fmask, gmask, op)
-            parts.append(f"{op.name}={c}")
-        lines.append(f"F = {f_text}  Fp = {g_text}: " + " ".join(parts))
-    return "\n".join(lines) + "\n"
-
-
-def _witness_actions(size: int, swapped: bool):
-    cycle = tuple(range(1, size)) + (0,)
-    swap = (1, 0) + tuple(range(2, size))
-    return (swap, cycle) if swapped else (cycle, swap)
-
-
-def _witness_semiautomaton(size: int, swapped: bool) -> Semiautomaton:
-    a, b = _witness_actions(size, swapped)
-    return Semiautomaton(size, ("a", "b"), {"a": a, "b": b})
-
-
-def _reproduce_prop_1(m: Optional[int], n: Optional[int]) -> str:
-    if m is None or n is None:
-        raise ValueError("prop-1 needs --m and --n")
-    if not (3 <= m <= 6 and 3 <= n <= 6):
-        raise ValueError("prop-1 degrees must be between 3 and 6")
-    lines = [f"reproduce prop-1 m={m} n={n}"]
-    left = _witness_semiautomaton(m, swapped=False)
-    lines.append(f"left: {m} states, a = full cycle, b = (0,1), final {m - 1}")
-    fmask = 1 << (m - 1)
-    gmask = 1 << (n - 1)
-    canonical = [BoolFn.by_table(t) for t in (1, 2, 4, 6, 7)]
-    sections = [("right-swapped",
-                 _witness_semiautomaton(n, swapped=True),
-                 f"right-swapped: {n} states, b = full cycle, a = (0,1),"
-                 f" final {n - 1}")]
-    if m != n:
-        sections.append(
-            ("right-same-shape",
-             _witness_semiautomaton(n, swapped=False),
-             f"right-same-shape: {n} states, a = full cycle, b = (0,1),"
-             f" final {n - 1}"))
-    all_ok = True
-    for name, right, describe in sections:
-        lines.append(describe)
-        prod = direct_product(left, right)
-        reach = reachable_states(prod)
-        actions = [prod.actions[letter] for letter in prod.alphabet]
-        parts = []
-        section_ok = True
-        for op in canonical:
-            flat = flat_final_mask(op, fmask, m, gmask, n)
-            c = moore_complexity(actions, reach, flat, prod.state_count)
-            parts.append(f"{op.name}={c}")
-            section_ok = section_ok and c == m * n
-        lines.append(f"complexities vs {name}: " + " ".join(parts))
-        lines.append(f"all equal m*n: {_bool_text(section_ok)}")
-        all_ok = all_ok and section_ok
-    if m == n:
-        lines.append("right-same-shape: skipped (degrees equal)")
-    lines.append(f"witness confirmed: {_bool_text(all_ok)}")
-    return "\n".join(lines) + "\n"
-
-
-def reproduce(ident: str, m: Optional[int] = None,
-              n: Optional[int] = None) -> str:
-    """Text report for one of the known worked scenarios."""
-    if ident != "prop-1" and (m is not None or n is not None):
-        raise ValueError(f"{ident} does not take --m/--n")
-    if ident == "example-1":
-        return _reproduce_example_1()
-    if ident == "example-2.2":
-        return _reproduce_example_2_2()
-    if ident == "example-3.2":
-        return _reproduce_example_3_2()
-    if ident == "example-3.3":
-        return _reproduce_example_3_3()
-    if ident == "example-3.4":
-        return _reproduce_example_3_4()
-    if ident == "prop-1":
-        return _reproduce_prop_1(m, n)
-    raise ValueError(
-        f"unknown reproduction id {ident!r}; known ids: "
-        + ", ".join(REPRODUCE_IDS))

@@ -413,6 +413,27 @@ def bases_conjugate(b1: Basis, b2: Basis) -> Optional[Perm]:
     return None if found is None else Perm(found)
 
 
+def conjugation_orbits(bases: Sequence[Basis]) -> list[tuple[int, Perm]]:
+    """(index of its orbit's first basis, r) for each of the bases, with
+    basis == r * first * r^-1, for S_n acting on the listed bases by
+    conjugation.
+
+    The first basis of an orbit carries the identity. Conjugates missing from
+    the list are skipped. Below degree 3 a basis can have several such r;
+    the lexicographically first is kept.
+    """
+    index = {(b.s.image, b.t.image): i for i, b in enumerate(bases)}
+    table: list = [None] * len(bases)
+    for i, first in enumerate(bases):
+        if table[i] is None:
+            for r in map(Perm, itertools.permutations(range(first.degree))):
+                j = index.get((conjugate(r, first.s).image,
+                               conjugate(r, first.t).image))
+                if j is not None and table[j] is None:
+                    table[j] = (i, r)
+    return table
+
+
 def generating_pairs(n: int, allow_equal: bool) -> Iterator[Basis]:
     """Every ordered pair (s, t) with <s, t> = S_n, lexicographic by image
     tuples; pairs with s == t only when allow_equal is set."""

@@ -216,7 +216,8 @@ class TestVerify:
 
 class TestPinnedReports:
     # Report digests and summaries recorded from the CLI before any
-    # refactoring; perfbench/reference.json holds the same entries.
+    # refactoring; perfbench/reference.json holds the same entries for the
+    # first, second, third and sixth case.
     @pytest.mark.parametrize("args,sha256,summary", [
         (("--m", "2", "--n", "3", "--exhaustive"),
          "e8fc49ff9e60d8e514d256870a19d6dc13dae607a8d5404208e999377030a873",
@@ -229,6 +230,18 @@ class TestPinnedReports:
         (("--m", "3", "--n", "4", "--exhaustive", "--ops", "xor,xnor"),
          "e2c154aea89bacf7170d0c2ea3d088e2faf384c32501ddf859b0238be3837d67",
          "summary: total=653184 pass=622080 exception-expected=31104 fail=0"
+         " conjugate=0"),
+        (("--m", "3", "--n", "3", "--exhaustive"),
+         "c141bf397bfc665993f6b73fc30337e35ee814bc519788acf60a848110ee5ed5",
+         "summary: total=116640 pass=116640 exception-expected=0 fail=0"
+         " conjugate=38880"),
+        (("--m", "2", "--n", "4", "--exhaustive"),
+         "d43b43934d117e70e447f888487304aa0a62f864833f32cfc4637890471e417b",
+         "summary: total=181440 pass=181440 exception-expected=0 fail=0"
+         " conjugate=0"),
+        (("--m", "3", "--n", "4", "--exhaustive"),
+         "41e73bd2b800a0e1f60a09c6bcf697c4ee11fbab1af502f07fe472308caf0b89",
+         "summary: total=3265920 pass=3172608 exception-expected=93312 fail=0"
          " conjugate=0"),
     ])
     def test_report_digest(self, tmp_path, args, sha256, summary):

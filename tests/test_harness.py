@@ -1,12 +1,18 @@
 """Campaign engine: enumeration, judging, sampling, reports, reproduction."""
 
+import bisect
+import collections
+import hashlib
 import io
+import random
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 from permdfa import Basis, BoolFn, CapExceededError, TwoPathDisagreement
-from permdfa import harness
+from permdfa import Perm, bases_conjugate, conjugate, harness
+from permdfa.perm import conjugation_orbits
 from permdfa.automaton import finals_to_mask
 from permdfa.harness import (
     CampaignConfig,
@@ -230,35 +236,51 @@ class TestPinnedInstances:
                               BoolFn.by_name("and"))
 
 
+@lru_cache(maxsize=None)
+def _unreduced_records(m, n, ops):
+    """Every exhaustive instance in stream order, each judged by
+    evaluate_instance, which builds a fresh pair context per instance and
+    so reuses no verdict of another mask or another basis pair."""
+    records = []
+    for b1 in enumerate_bases(m):
+        for b2 in enumerate_bases(n):
+            for fmask in range(1, (1 << m) - 1):
+                left = [i for i in range(m) if fmask >> i & 1]
+                for gmask in range(1, (1 << n) - 1):
+                    right = [j for j in range(n) if gmask >> j & 1]
+                    for op in ops:
+                        records.append(evaluate_instance(
+                            b1, b2, left, right, op))
+    return records
+
+
+def _evaluate_row(row):
+    """The report row evaluate_instance gives for the instance of a row."""
+    f = row.split("\t")
+    m, n = int(f[0]), int(f[1])
+    return evaluate_instance(
+        Basis.parse(f[2], m), Basis.parse(f[3], n),
+        [int(x) for x in f[6].split(",")], [int(x) for x in f[7].split(",")],
+        BoolFn.parse(f[8])).tsv_row()
+
+
+# Exhaustive 2x3 with all ten operations, and 3x3 with and and xor, which
+# covers the conjugate (disconnected) branch.
+UNREDUCED_SWEEPS = [(2, 3, ()), (3, 3, ("and", "xor"))]
+
+
 class TestComplementMemo:
     """Campaign rows reuse one verdict per {mask, ~mask} within a basis pair;
     evaluate_instance builds a fresh pair context, so it never reuses one."""
 
-    @staticmethod
-    def _unmemoized_rows(m, n, ops):
-        rows = [REPORT_HEADER]
-        for b1 in enumerate_bases(m):
-            for b2 in enumerate_bases(n):
-                for fmask in range(1, (1 << m) - 1):
-                    left = [i for i in range(m) if fmask >> i & 1]
-                    for gmask in range(1, (1 << n) - 1):
-                        right = [j for j in range(n) if gmask >> j & 1]
-                        for op in ops:
-                            rows.append(evaluate_instance(
-                                b1, b2, left, right, op).tsv_row())
-        return rows
-
-    @pytest.mark.parametrize("m,n,ops", [
-        (2, 3, ()),
-        (3, 3, ("and", "xor")),
-    ])
+    @pytest.mark.parametrize("m,n,ops", UNREDUCED_SWEEPS)
     def test_rows_equal_unmemoized_rows(self, m, n, ops):
-        # 3x3 covers the conjugate (disconnected) branch
         cfg = CampaignConfig(m, n, ops=tuple(map(BoolFn.by_name, ops)))
         buf = io.StringIO()
         verify_theorem1(cfg, out=buf)
         rows = buf.getvalue().splitlines()
-        assert rows == self._unmemoized_rows(m, n, cfg.resolved_ops())
+        assert rows == [REPORT_HEADER] + [
+            r.tsv_row() for r in _unreduced_records(m, n, cfg.resolved_ops())]
 
     @pytest.fixture
     def one_pair(self, monkeypatch):
@@ -278,6 +300,23 @@ class TestComplementMemo:
         row = info.value.row.split("\t")
         assert int(row[10]) < 12 and row[11] == "FAIL"
         assert buf.getvalue().splitlines()[-1] == info.value.row
+        moore = info.value.moore
+        assert moore == int(row[10])
+        assert info.value.table_filling == moore - 1
+        assert str(info.value).startswith(
+            f"Moore {moore} vs table-filling {moore - 1} on instance: ")
+
+    def test_prediction_disagreement_names_routes(self, one_pair,
+                                                  monkeypatch):
+        monkeypatch.setattr(harness, "all_distinguished",
+                            lambda components, flat: False)
+        with pytest.raises(TwoPathDisagreement) as info:
+            verify_theorem1(one_pair)
+        row = info.value.row.split("\t")
+        assert row[9:] == ["false", "12", "FAIL"]
+        assert (info.value.moore, info.value.table_filling) == (12, None)
+        assert str(info.value).startswith(
+            "prediction and oracle disagree on instance: ")
 
     def test_table_filling_runs_once_per_shortfall_mask(
             self, one_pair, monkeypatch):
@@ -311,6 +350,140 @@ class TestComplementMemo:
                             forbidden)
         res = verify_theorem1(CampaignConfig(2, 3))
         assert res.n_pass == res.total == 6480
+
+
+class _RowPicker:
+    """A report stream that keeps only the rows at the wanted indices
+    (0 is the first row after the header); writes hold whole rows."""
+
+    def __init__(self, wanted):
+        self.wanted = sorted(wanted)
+        self.rows = {}
+        self.next = -1  # the header
+
+    def write(self, text):
+        count = text.count("\n")
+        start, self.next = self.next, self.next + count
+        k = bisect.bisect_left(self.wanted, start)
+        if k < len(self.wanted) and self.wanted[k] < self.next:
+            for index, row in enumerate(text.splitlines(), start):
+                if index in self.wanted:
+                    self.rows[index] = row
+
+
+class _DigestStream:
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode("ascii"))
+
+
+class TestOrbitReduction:
+    """Exhaustive campaigns judge one basis pair per S_m x S_n relabelling
+    orbit and give every other connected pair its representative's verdicts.
+    TestComplementMemo.test_rows_equal_unmemoized_rows compares every row
+    of exhaustive 2x3 and 3x3 with evaluate_instance, the unreduced
+    reference."""
+
+    @pytest.mark.parametrize("degree,orbits,size", [
+        (2, 3, 1), (3, 3, 6), (4, 9, 24)])
+    def test_orbit_structure(self, degree, orbits, size):
+        bases = enumerate_bases(degree)
+        table = conjugation_orbits(bases)
+        members = collections.defaultdict(list)
+        for basis, (rep, r) in zip(bases, table):
+            members[rep].append(basis)
+            assert table[rep] == (rep, Perm.identity(degree))
+            assert basis == Basis(conjugate(r, bases[rep].s),
+                                  conjugate(r, bases[rep].t))
+            if degree >= 3:
+                assert bases_conjugate(bases[rep], basis) == r
+        assert sorted(map(len, members.values())) == [size] * orbits
+        # a representative comes first in its orbit
+        assert all(group[0] is bases[rep] for rep, group in members.items())
+
+    @pytest.mark.parametrize("m,n,ops", UNREDUCED_SWEEPS)
+    def test_result_equals_unreduced_tally(self, m, n, ops):
+        cfg = CampaignConfig(m, n, ops=tuple(map(BoolFn.by_name, ops)))
+        res = verify_theorem1(cfg)
+        records = _unreduced_records(m, n, cfg.resolved_ops())
+        statuses = collections.Counter(r.status for r in records)
+        conj = [r for r in records if r.conjugate]
+        fails = [r for r in records if r.status == "FAIL"]
+        assert res.total == len(records)
+        assert res.n_pass == statuses["PASS"]
+        assert res.n_exception == statuses["EXCEPTION-EXPECTED"]
+        assert res.n_fail == statuses["FAIL"]
+        assert res.n_conjugate == len(conj)
+        assert res.below_mn == sum(r.oracle < m * n for r in records
+                                   if not r.conjugate)
+        assert res.conjugate_attained == (
+            any(r.oracle == n for r in conj) if conj else None)
+        assert res.first_fail == (fails[0] if fails else None)
+
+    def test_failing_rows_follow_their_representative(self, monkeypatch):
+        # Without exception degrees every 3x4 shortfall is a FAIL, in the
+        # representative pairs and in the pairs that reuse their verdicts.
+        monkeypatch.setattr(harness, "EXCEPTION_DEGREES", frozenset())
+        buf = io.StringIO()
+        res = verify_theorem1(
+            CampaignConfig(3, 4, ops=(BoolFn.by_name("xor"),)), out=buf)
+        fails = [row for row in buf.getvalue().splitlines()
+                 if row.endswith("\tFAIL")]
+        assert res.n_exception == 0
+        assert res.n_fail == res.below_mn == len(fails) == 15552
+        assert res.first_fail.tsv_row() == fails[0]
+        for row in (fails[0], fails[len(fails) // 2], fails[-1]):
+            assert _evaluate_row(row) == row
+
+    def test_sampled_relabelled_rows_equal_unreduced_rows(self):
+        # 500 seeded rows of the ten-operation 3x4 sweep, all from pairs
+        # that reuse their representative's verdicts
+        left = conjugation_orbits(enumerate_bases(3))
+        right = conjugation_orbits(enumerate_bases(4))
+        per_pair = 6 * 14 * 10
+        pairs = [i * len(right) + j
+                 for i in range(len(left)) for j in range(len(right))
+                 if (left[i][0], right[j][0]) != (i, j)]
+        rng = random.Random(5)
+        wanted = {rng.choice(pairs) * per_pair + rng.randrange(per_pair)
+                  for _ in range(500)}
+        picker = _RowPicker(wanted)
+        res = verify_theorem1(CampaignConfig(3, 4), out=picker)
+        assert res.total == picker.next == 3265920
+        assert sorted(picker.rows) == sorted(wanted)
+        for row in picker.rows.values():
+            assert _evaluate_row(row) == row
+
+    def test_one_judgement_per_orbit(self, monkeypatch):
+        calls = collections.Counter()
+        for name in ("moore_complexity", "pair_graph"):
+            def counting(*args, _real=getattr(harness, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(harness, name, counting)
+        res = verify_theorem1(CampaignConfig(
+            3, 4, ops=(BoolFn.by_name("xor"), BoolFn.by_name("xnor"))))
+        assert res.total == 653184
+        # 27 representative pairs, 21 masks up to complement each
+        assert calls == {"moore_complexity": 567, "pair_graph": 27}
+
+    def test_sink_sees_every_row(self):
+        report, from_sink = _DigestStream(), _DigestStream()
+        from_sink.write(REPORT_HEADER + "\n")
+        count = 0
+
+        def sink(record):
+            nonlocal count
+            count += 1
+            from_sink.write(record.tsv_row() + "\n")
+
+        res = verify_theorem1(
+            CampaignConfig(3, 4, ops=(BoolFn.by_name("xor"),)),
+            sink=sink, out=report)
+        assert count == res.total == 326592
+        assert from_sink.sha.hexdigest() == report.sha.hexdigest()
 
 
 class TestSampling:
