@@ -100,10 +100,10 @@ class Perm:
         return tuple(out)
 
     def is_even(self) -> bool:
-        return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
+        return _image_is_even(self.image)
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return math.lcm(*map(len, self.cycles()))
 
 
 def compose(p: Perm, q: Perm) -> Perm:
@@ -283,12 +283,39 @@ def generate_group(gens: Iterable[Perm], cap: Optional[int] = None) -> GroupClos
     return GroupClosure(degree, gens, frozenset(Perm(t) for t in elements))
 
 
+def _image_is_even(image: Sequence[int]) -> bool:
+    """Parity of a permutation's image tuple: the degree minus the number of
+    cycles, fixed points included, is even."""
+    seen = bytearray(len(image))
+    cycles = 0
+    for start in range(len(image)):
+        if not seen[start]:
+            cycles += 1
+            q = start
+            while not seen[q]:
+                seen[q] = 1
+                q = image[q]
+    return (len(image) - cycles) % 2 == 0
+
+
 def _images_generate_symmetric(images: list[tuple[int, ...]], degree: int) -> bool:
-    # A proper subgroup of S_n has at most n!/2 elements, so the closure can
-    # stop as soon as it grows past that.
-    full = math.factorial(degree)
-    elements = _closure_images(images, [tuple(range(degree))], stop_above=full // 2)
-    return len(elements) > full // 2 or len(elements) == full
+    """Whether the image tuples generate S_degree, decided exactly.
+
+    All generators even: the group lies in A_n. Not transitive: it is not
+    S_n. Otherwise the group has an odd element, so it is not A_n, and every
+    other proper subgroup of S_n has at most (n-1)! elements for n >= 5,
+    since A_n is the only proper subgroup of index below n (Dixon and
+    Mortimer, Permutation Groups, 5.2). The same bound holds at n = 2 and 3;
+    at n = 4 it is 8, the order of D_4. The closure stops past the bound.
+    """
+    if degree <= 1:
+        return True
+    if all(map(_image_is_even, images)):
+        return False
+    if _point_orbit(images, 0, degree).count(1) < degree:
+        return False
+    bound = 8 if degree == 4 else math.factorial(degree - 1)
+    return len(_closure_images(images, [tuple(range(degree))], stop_above=bound)) > bound
 
 
 def generates_symmetric(gens: Iterable[Perm]) -> bool:

@@ -204,6 +204,30 @@ class TestSymmetricChecks:
         # cyclic rotation group is transitive but not 2-transitive
         assert not acts_doubly_transitively([parse_cycles("(0,1,2,3)", 4)])
 
+    # (basis, degree, order of the generated group): each has an odd
+    # generator and is a proper subgroup of order at most the stopping bound.
+    @pytest.mark.parametrize("text, degree, order", [
+        ("(0,1,2,3);(0,2)", 4, 8),                # D_4, exactly the bound
+        ("(0,1,2,3);(0,1)", 5, 24),               # point stabilizer, 4!
+        ("(0,1,2,3,4);(1,2,4,3)", 5, 20),         # F_20
+        ("(0,1,2,3,4);(0,5)(1,2)(3,4)", 6, 120),  # transitive S_5, 5!
+        ("(0,1,2,3,4,5,6);(1,3,2,6,4,5)", 7, 42),  # AGL(1,7)
+    ])
+    def test_largest_proper_subgroups_rejected(self, text, degree, order):
+        s, t = (parse_cycles(part, degree) for part in text.split(";"))
+        assert not (s.is_even() and t.is_even())
+        assert PermutationGroup(
+            [SymPerm(list(s.image)), SymPerm(list(t.image))]).order() == order
+        assert not generates_symmetric([s, t])
+        with pytest.raises(ValueError):
+            Basis(s, t)
+
+    def test_generating_pairs_at_the_boundary_accepted(self):
+        assert str(Basis.parse("(0,1,2,3,4);(0,5)(1,4)(2,3)", 6)) == \
+            "(0,1,2,3,4);(0,5)(1,4)(2,3)"
+        assert generates_symmetric([Perm.identity(1)])
+        assert Basis.parse("id;id", 1).degree == 1
+
     @settings(max_examples=30)
     @given(st.integers(2, 5).flatmap(
         lambda n: st.lists(perms(n), min_size=1, max_size=2)))
@@ -338,12 +362,58 @@ class TestConjugacyAgainstScan:
         assert found > 0
 
 
+def generates_by_half_closure(gens):
+    """Reference: close the group generated by gens, stopping once it has
+    more than n!/2 elements, the order of the largest proper subgroup."""
+    degree = gens[0].degree
+    half = math.factorial(degree) // 2
+    elements = {tuple(range(degree))}
+    frontier = list(elements)
+    while frontier and len(elements) <= half:
+        step = []
+        for x in frontier:
+            for g in gens:
+                y = tuple(x[i] for i in g.image)
+                if y not in elements:
+                    elements.add(y)
+                    step.append(y)
+        frontier = step
+    return len(elements) > half or len(elements) == math.factorial(degree)
+
+
+class TestGenerationAgainstReferences:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_pair_against_half_closure(self, n):
+        perms_n = [Perm(p) for p in itertools.permutations(range(n))]
+        accepted = 0
+        for s in perms_n:
+            for t in perms_n:
+                ours = generates_symmetric([s, t])
+                assert ours == generates_by_half_closure([s, t]), (s, t)
+                accepted += ours
+        assert accepted == {1: 1, 2: 3, 3: 18, 4: 216}[n]
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_seeded_pairs_against_sympy(self, n):
+        rng = random.Random(n)
+        outcomes = set()
+        for _ in range(40):
+            s, t = (Perm(rng.sample(range(n), n)) for _ in range(2))
+            order = PermutationGroup(
+                [SymPerm(list(s.image)), SymPerm(list(t.image))]).order()
+            ours = generates_symmetric([s, t])
+            assert ours == (order == math.factorial(n)), (s, t)
+            outcomes.add(ours)
+        assert outcomes == {True, False}
+
+
 class TestCounting:
     def test_counts(self):
         assert count_generating_pairs(2) == 2
         assert count_generating_pairs(2, allow_equal=True) == 3
         assert count_generating_pairs(3) == 18
         assert count_generating_pairs(4) == 216
+        assert count_generating_pairs(5) == 6840
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
