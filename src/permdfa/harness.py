@@ -46,7 +46,6 @@ from .perm import (
     Basis,
     Perm,
     bases_conjugate,
-    conjugate,
     conjugation_orbits,
     generating_pairs,
 )
@@ -223,8 +222,7 @@ class _PairContext:
                             for x in range(n) for y in range(n) if y != x}
             self.conjugate_shape_ok = set(self.reachable) == expected
         if self.connected:
-            self.components = [
-                tuple(c) for c in pair_graph(prod).components]
+            self.components = pair_graph(prod).components
         else:
             self.components = None
         self.prefix = _row_prefix(self.m, self.n, self.b1_text, self.b2_text,
@@ -564,7 +562,7 @@ def _sampled_instances(config: CampaignConfig):
         b1 = _random_basis(rng, m)
         if m == n and i % CONJUGATE_SAMPLE_STRIDE == CONJUGATE_SAMPLE_STRIDE - 1:
             r = _random_perm(rng, n)
-            b2 = Basis(conjugate(r, b1.s), conjugate(r, b1.t))
+            b2 = b1.conjugated(r)
         else:
             b2 = _random_basis(rng, n)
         fmask = rng.randrange(1, (1 << m) - 1)

@@ -382,6 +382,15 @@ class Basis:
     def degree(self) -> int:
         return self.s.degree
 
+    def conjugated(self, r: Perm) -> "Basis":
+        """r*B*r^-1, componentwise. Conjugation is an automorphism of S_n,
+        so the image of a generating pair generates too and the generation
+        test is not run again."""
+        out = object.__new__(Basis)
+        out.s = conjugate(r, self.s)
+        out.t = conjugate(r, self.t)
+        return out
+
     def __iter__(self) -> Iterator[Perm]:
         yield self.s
         yield self.t

@@ -10,6 +10,7 @@ not.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -118,57 +119,51 @@ class PairGraph:
     components: tuple[tuple[tuple[int, int], ...], ...]
 
 
+@functools.lru_cache(maxsize=None)
+def _pair_table(total: int):
+    """For total states: the pair (u, v) at key u*total+v, a label template
+    that marks every key with u >= v as taken, and all pairs in order."""
+    pairs: list = [None] * (total * total)
+    taken = bytearray(b"\x01") * (total * total)
+    for u in range(total):
+        for v in range(u + 1, total):
+            pairs[u * total + v] = (u, v)
+            taken[u * total + v] = 0
+    return tuple(pairs), bytes(taken), tuple(q for q in pairs if q is not None)
+
+
 def pair_graph(p: ProductAutomaton) -> PairGraph:
     """Components of the pair graph under the per-letter induced maps.
 
-    Letters must act bijectively; then every induced map permutes the vertex
-    set and plain union-find closure gives exactly the components.
+    Letters must act bijectively; then every induced map {u, v} -> {a(u), a(v)}
+    permutes the pairs, and the orbits of the maps are exactly the
+    components. Each is found by a breadth-first search from its smallest
+    unlabelled pair, scanning in lexicographic order, so components come
+    out ordered by their smallest pair and each pair is labelled once.
     """
     p.require_permutations()
     total = p.state_count
-    # Triangular indexing of pairs (u, v) with u < v.
-    row_base = [0] * total
-    acc = 0
-    for u in range(total):
-        row_base[u] = acc - u - 1
-        acc += total - u - 1
-    nverts = total * (total - 1) // 2
-
-    parent = list(range(nverts))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for act in p.actions.values():
-        for u in range(total):
-            au = act[u]
-            for v in range(u + 1, total):
-                av = act[v]
-                if au < av:
-                    img = row_base[au] + av
-                else:
-                    img = row_base[av] + au
-                ra, rb = find(row_base[u] + v), find(img)
-                if ra != rb:
-                    parent[rb] = ra
-
-    groups: dict[int, list[tuple[int, int]]] = {}
-    vertices = []
-    for u in range(total):
-        for v in range(u + 1, total):
-            vert = (u, v)
-            vertices.append(vert)
-            groups.setdefault(find(row_base[u] + v), []).append(vert)
-    components = sorted(groups.values(), key=lambda comp: comp[0])
-    return PairGraph(
-        p.left_count,
-        p.right_count,
-        tuple(vertices),
-        tuple(tuple(comp) for comp in components),
-    )
+    acts = list(p.actions.values())
+    pairs, taken, vertices = _pair_table(total)
+    label = bytearray(taken)
+    components = []
+    key = label.find(0)
+    while key >= 0:
+        label[key] = 1
+        queue = [key]
+        for k in queue:
+            x, y = pairs[k]
+            for act in acts:
+                a = act[x]
+                b = act[y]
+                img = a * total + b if a < b else b * total + a
+                if not label[img]:
+                    label[img] = 1
+                    queue.append(img)
+        queue.sort()
+        components.append(tuple(map(pairs.__getitem__, queue)))
+        key = label.find(0, key + 1)
+    return PairGraph(p.left_count, p.right_count, vertices, tuple(components))
 
 
 def classify_component(

@@ -267,6 +267,32 @@ class TestBasis:
             Basis.parse("(0,1,2);(0,1);(0,2)", 3)
 
 
+class TestBasisConjugated:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_equals_checked_construction(self, n):
+        rs = [Perm(r) for r in itertools.permutations(range(n))]
+        for b in enumerate_bases(n):
+            for r in rs:
+                c = b.conjugated(r)
+                assert c == Basis(conjugate(r, b.s), conjugate(r, b.t))
+                assert bases_conjugate(b, c) == r
+
+    def test_seeded_degree_six(self):
+        rng = random.Random(6)
+        for _ in range(20):
+            s, t = (Perm(rng.sample(range(6), 6)) for _ in range(2))
+            if not generates_symmetric([s, t]):
+                continue
+            r = Perm(rng.sample(range(6), 6))
+            c = Basis(s, t).conjugated(r)
+            assert generates_symmetric([c.s, c.t])
+            assert bases_conjugate(Basis(s, t), c) == r
+
+    def test_degree_mismatch(self):
+        with pytest.raises(DegreeMismatchError):
+            Basis.parse("(0,1,2);(0,1)", 3).conjugated(Perm((1, 0)))
+
+
 class TestBasesConjugate:
     def test_three_state_pair(self):
         b1 = Basis.parse("(0,1,2);(0,1)", 3)

@@ -10,6 +10,7 @@ from permdfa import (
     Basis,
     BoolFn,
     DFA,
+    NotAPermutationError,
     Perm,
     Semiautomaton,
     accepts,
@@ -30,7 +31,7 @@ from permdfa import (
     stabilizer_image,
 )
 from permdfa.harness import enumerate_bases
-from permdfa.product import flat_final_mask
+from permdfa.product import PairGraph, flat_final_mask
 
 B2 = Basis.parse("id;(0,1)", 2)
 B3 = Basis.parse("(0,1,2);(0,1)", 3)
@@ -145,6 +146,88 @@ class TestPairGraph:
                     au, av = act[u], act[v]
                     key = (au, av) if au < av else (av, au)
                     assert comp_of[(u, v)] == comp_of[key]
+
+
+def pair_graph_by_union_find(p):
+    """Reference: the union-find pair graph that pair_graph replaced, kept
+    as it was written."""
+    p.require_permutations()
+    total = p.state_count
+    # Triangular indexing of pairs (u, v) with u < v.
+    row_base = [0] * total
+    acc = 0
+    for u in range(total):
+        row_base[u] = acc - u - 1
+        acc += total - u - 1
+    nverts = total * (total - 1) // 2
+
+    parent = list(range(nverts))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for act in p.actions.values():
+        for u in range(total):
+            au = act[u]
+            for v in range(u + 1, total):
+                av = act[v]
+                if au < av:
+                    img = row_base[au] + av
+                else:
+                    img = row_base[av] + au
+                ra, rb = find(row_base[u] + v), find(img)
+                if ra != rb:
+                    parent[rb] = ra
+
+    groups = {}
+    vertices = []
+    for u in range(total):
+        for v in range(u + 1, total):
+            vert = (u, v)
+            vertices.append(vert)
+            groups.setdefault(find(row_base[u] + v), []).append(vert)
+    components = sorted(groups.values(), key=lambda comp: comp[0])
+    return PairGraph(
+        p.left_count,
+        p.right_count,
+        tuple(vertices),
+        tuple(tuple(comp) for comp in components),
+    )
+
+
+class TestPairGraphAgainstUnionFind:
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (3, 4)])
+    def test_every_ordered_basis_pair(self, m, n):
+        rights = [from_basis(b) for b in enumerate_bases(n)]
+        for b1 in enumerate_bases(m):
+            left = from_basis(b1)
+            for right in rights:
+                p = direct_product(left, right)
+                assert pair_graph(p) == pair_graph_by_union_find(p), (b1, right)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_seeded_pairs_with_conjugates(self, n):
+        rng = random.Random(n)
+        connected = set()
+        for i in range(60):
+            b1 = _random_basis(rng, n)
+            if i % 2:
+                b2 = b1.conjugated(Perm(rng.sample(range(n), n)))
+            else:
+                b2 = _random_basis(rng, n)
+            p = direct_product(from_basis(b1), from_basis(b2))
+            assert pair_graph(p) == pair_graph_by_union_find(p), (b1, b2)
+            connected.add(is_connected(p))
+        assert connected == {True, False}
+
+    def test_non_bijective_letter_raises(self):
+        a = Semiautomaton(3, ("a", "b"), {"a": (1, 2, 0), "b": (0, 0, 2)})
+        b = Semiautomaton(2, ("a", "b"), {"a": (1, 0), "b": (0, 1)})
+        with pytest.raises(NotAPermutationError):
+            pair_graph(direct_product(a, b))
 
 
 class TestDistinguishingPairs:
