@@ -45,6 +45,7 @@ from .errors import CapExceededError, TwoPathDisagreement
 from .perm import (
     Basis,
     Perm,
+    _images_generate_symmetric,
     bases_conjugate,
     conjugation_orbits,
     generating_pairs,
@@ -522,10 +523,8 @@ def _random_basis(rng: random.Random, degree: int) -> Basis:
         rng.shuffle(s)
         t = list(range(degree))
         rng.shuffle(t)
-        try:
-            return Basis(Perm(s), Perm(t))
-        except ValueError:
-            continue
+        if _images_generate_symmetric([s, t], degree):
+            return Basis._trusted(Perm(s), Perm(t))
     raise RuntimeError(f"no generating pair found at degree {degree} "
                        f"after {_SAMPLE_TRY_CAP} tries")
 

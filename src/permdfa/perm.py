@@ -3,7 +3,10 @@
 This module also holds the two search loops the package shares: the
 point-orbit BFS (_point_orbit) behind reachability and transitivity, and
 the element closure (_closure_images) behind generated groups, the
-generation test, transition semigroups and the product group.
+generation test, transition semigroups and the product group. The
+generation test (_images_generate_symmetric) rejects by parity,
+transitivity and primitivity and accepts by Jordan's theorem on prime
+cycles; the closure is its exact fallback.
 
 Composition is right-to-left throughout this module: compose(p, q) applies q
 first, so compose(p, q)(i) == p(q(i)). Words over an automaton alphabet act
@@ -16,7 +19,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from typing import Iterable, Iterator, Optional, Sequence
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     CapExceededError,
@@ -213,11 +217,14 @@ def _closure_images(
     seed: Iterable[tuple[int, ...]],
     cap: Optional[int] = None,
     stop_above: Optional[int] = None,
-) -> set[tuple[int, ...]]:
+    stop_at: Optional[Callable[[tuple[int, ...]], bool]] = None,
+) -> Optional[set[tuple[int, ...]]]:
     """BFS closure of the seed under composition with the image tuples.
 
     Seeded with the identity this is the generated group; seeded with the
-    generators it is the semigroup of nonempty products.
+    generators it is the semigroup of nonempty products. The closure stops
+    early and returns None once it holds more than stop_above elements, or
+    once it meets a new element y with stop_at(y).
     """
     elements = set(seed)
     if cap is not None and len(elements) > cap:
@@ -233,7 +240,9 @@ def _closure_images(
                     if cap is not None and len(elements) > cap:
                         raise CapExceededError(f"closure exceeded cap of {cap}")
                     if stop_above is not None and len(elements) > stop_above:
-                        return elements
+                        return None
+                    if stop_at is not None and stop_at(y):
+                        return None
                     step.append(y)
         frontier = step
     return elements
@@ -283,30 +292,106 @@ def generate_group(gens: Iterable[Perm], cap: Optional[int] = None) -> GroupClos
     return GroupClosure(degree, gens, frozenset(Perm(t) for t in elements))
 
 
+def _cycle_lengths(image: Sequence[int]) -> list[int]:
+    """Lengths of a permutation's cycles, fixed points included, in order
+    of each cycle's smallest point."""
+    lengths = []
+    seen = set()
+    for start, q in enumerate(image):
+        if start not in seen:
+            k = 1
+            while q != start:
+                seen.add(q)
+                q = image[q]
+                k += 1
+            lengths.append(k)
+    return lengths
+
+
 def _image_is_even(image: Sequence[int]) -> bool:
     """Parity of a permutation's image tuple: the degree minus the number of
     cycles, fixed points included, is even."""
-    seen = bytearray(len(image))
-    cycles = 0
-    for start in range(len(image)):
-        if not seen[start]:
-            cycles += 1
-            q = start
-            while not seen[q]:
-                seen[q] = 1
-                q = image[q]
-    return (len(image) - cycles) % 2 == 0
+    return (len(image) - len(_cycle_lengths(image))) % 2 == 0
 
 
-def _images_generate_symmetric(images: list[tuple[int, ...]], degree: int) -> bool:
+def _is_prime(k: int) -> bool:
+    return k >= 2 and all(k % d for d in range(2, math.isqrt(k) + 1))
+
+
+@lru_cache(maxsize=None)
+def _jordan_primes(degree: int) -> frozenset[int]:
+    """The primes p for which a primitive group of the degree that contains
+    a p-cycle contains A_n: p = 2, p = 3 and every prime p <= degree - 3."""
+    return frozenset(p for p in range(2, max(4, degree - 2)) if _is_prime(p))
+
+
+@lru_cache(maxsize=1024)
+def _has_jordan_certificate(image: tuple[int, ...]) -> bool:
+    """Whether some power of the permutation is a p-cycle with p in
+    _jordan_primes: exactly one cycle length is a multiple of p, and it is
+    p itself. Cached, because at small degrees the same permutations recur
+    across draws; 1024 entries hold every permutation of degree 6."""
+    lengths = _cycle_lengths(image)
+    for p in _jordan_primes(len(image)).intersection(lengths):
+        if [k % p for k in lengths].count(0) == 1:
+            return True
+    return False
+
+
+def _is_primitive(images: Sequence[Sequence[int]], degree: int) -> bool:
+    """Whether a transitive group on the points is primitive.
+
+    For each b != 0, Atkinson's propagation builds the finest partition
+    that joins 0 and b and that every generator maps to itself: a union-find
+    that, for each joined pair (x, y) and generator g, joins g(x) and g(y).
+    The partition is a block system, so the group is primitive exactly when
+    every such partition has a single class. O(n^2) per b.
+    """
+    for b in range(1, degree):
+        root = list(range(degree))
+        root[b] = 0
+        joined = 1
+        pending = [(0, b)]
+        while pending and joined < degree - 1:
+            x, y = pending.pop()
+            for g in images:
+                u, v = g[x], g[y]
+                while root[u] != u:
+                    u = root[u]
+                while root[v] != v:
+                    v = root[v]
+                if u != v:
+                    root[v] = u
+                    joined += 1
+                    pending.append((u, v))
+        if joined < degree - 1:
+            return False
+    return True
+
+
+def _images_generate_symmetric(images: Sequence[Sequence[int]], degree: int) -> bool:
     """Whether the image tuples generate S_degree, decided exactly.
 
-    All generators even: the group lies in A_n. Not transitive: it is not
-    S_n. Otherwise the group has an odd element, so it is not A_n, and every
-    other proper subgroup of S_n has at most (n-1)! elements for n >= 5,
-    since A_n is the only proper subgroup of index below n (Dixon and
-    Mortimer, Permutation Groups, 5.2). The same bound holds at n = 2 and 3;
-    at n = 4 it is 8, the order of D_4. The closure stops past the bound.
+    The stages run in order:
+
+    1. All generators even: the group lies in A_n. Reject.
+    2. Not transitive: reject.
+    3. Imprimitive (_is_primitive): reject. A transitive group of prime
+       degree is primitive, so this stage is skipped there.
+    4. The group is now primitive and has an odd element. By Jordan's
+       theorem (Wielandt, Finite Permutation Groups, 13.9; Dixon and
+       Mortimer, Permutation Groups, 3.3E) a primitive group containing a
+       cycle of prime length p, with p <= 3 or p <= n-3, contains A_n, so
+       this one is S_n. An element has such a cycle among its powers when
+       it has a Jordan certificate (_has_jordan_certificate).
+       Accept when a generator has one, or else when the closure meets an
+       element that has one.
+    5. Without a certificate the closure runs on to an exact bound. A group
+       with an odd element is not A_n, and every other proper subgroup of
+       S_n has at most (n-1)! elements for n >= 5, since A_n is the only
+       proper subgroup of index below n (Dixon and Mortimer, 5.2). The same
+       bound holds at n = 2 and 3; at n = 4 it is 8, the order of D_4.
+       The group is S_n exactly when the closure passes the bound.
     """
     if degree <= 1:
         return True
@@ -314,8 +399,14 @@ def _images_generate_symmetric(images: list[tuple[int, ...]], degree: int) -> bo
         return False
     if _point_orbit(images, 0, degree).count(1) < degree:
         return False
+    if not _is_prime(degree) and not _is_primitive(images, degree):
+        return False
+    gens = [tuple(g) for g in images]
+    if any(map(_has_jordan_certificate, gens)):
+        return True
     bound = 8 if degree == 4 else math.factorial(degree - 1)
-    return len(_closure_images(images, [tuple(range(degree))], stop_above=bound)) > bound
+    return _closure_images(images, [tuple(range(degree)), *gens], stop_above=bound,
+                           stop_at=_has_jordan_certificate) is None
 
 
 def generates_symmetric(gens: Iterable[Perm]) -> bool:
@@ -378,6 +469,14 @@ class Basis:
             require_distinct=require_distinct,
         )
 
+    @classmethod
+    def _trusted(cls, s: Perm, t: Perm) -> "Basis":
+        """A basis from a pair already known to generate S_n, unchecked."""
+        out = object.__new__(cls)
+        out.s = s
+        out.t = t
+        return out
+
     @property
     def degree(self) -> int:
         return self.s.degree
@@ -386,10 +485,7 @@ class Basis:
         """r*B*r^-1, componentwise. Conjugation is an automorphism of S_n,
         so the image of a generating pair generates too and the generation
         test is not run again."""
-        out = object.__new__(Basis)
-        out.s = conjugate(r, self.s)
-        out.t = conjugate(r, self.t)
-        return out
+        return Basis._trusted(conjugate(r, self.s), conjugate(r, self.t))
 
     def __iter__(self) -> Iterator[Perm]:
         yield self.s
@@ -483,11 +579,8 @@ def generating_pairs(n: int, allow_equal: bool) -> Iterator[Basis]:
         for t in perms:
             if s is t and not allow_equal:
                 continue
-            try:
-                basis = Basis(s, t)
-            except ValueError:
-                continue
-            yield basis
+            if _images_generate_symmetric([s.image, t.image], n):
+                yield Basis._trusted(s, t)
 
 
 def count_generating_pairs(n: int, allow_equal: bool = False) -> int:

@@ -243,6 +243,15 @@ class TestPinnedReports:
          "41e73bd2b800a0e1f60a09c6bcf697c4ee11fbab1af502f07fe472308caf0b89",
          "summary: total=3265920 pass=3172608 exception-expected=93312 fail=0"
          " conjugate=0"),
+        # Sampled campaigns at degrees 7 and 10; the second took about 140 s
+        # with the factorial generation test.
+        (("--m", "7", "--n", "7", "--samples", "50", "--seed", "42"),
+         "b5c1393367b35fcbae39003a911c963f7e271c03a3d383bcf8c5fde49c869577",
+         "summary: total=50 pass=50 exception-expected=0 fail=0 conjugate=6"),
+        (("--m", "10", "--n", "10", "--samples", "100", "--seed", "42"),
+         "b4395b296ea6a044741d41acfe384988e0a6de1d304f70b50caf5fb3bb4e7458",
+         "summary: total=100 pass=100 exception-expected=0 fail=0"
+         " conjugate=12"),
     ])
     def test_report_digest(self, tmp_path, args, sha256, summary):
         out = tmp_path / "report.tsv"

@@ -185,6 +185,20 @@ class TestGroupClosure:
             generate_group([parse_cycles("(0,1,2,3,4)", 5)], cap=3)
 
 
+def assert_rejected(text, degree, order):
+    """Check that the basis text names a group of the given order with an
+    odd generator, and that the generation test rejects it; return the sympy
+    group."""
+    s, t = (parse_cycles(part, degree) for part in text.split(";"))
+    assert not (s.is_even() and t.is_even())
+    group = PermutationGroup([SymPerm(list(s.image)), SymPerm(list(t.image))])
+    assert group.order() == order
+    assert not generates_symmetric([s, t])
+    with pytest.raises(ValueError):
+        Basis(s, t)
+    return group
+
+
 class TestSymmetricChecks:
     def test_generates_symmetric(self):
         assert generates_symmetric(
@@ -214,13 +228,7 @@ class TestSymmetricChecks:
         ("(0,1,2,3,4,5,6);(1,3,2,6,4,5)", 7, 42),  # AGL(1,7)
     ])
     def test_largest_proper_subgroups_rejected(self, text, degree, order):
-        s, t = (parse_cycles(part, degree) for part in text.split(";"))
-        assert not (s.is_even() and t.is_even())
-        assert PermutationGroup(
-            [SymPerm(list(s.image)), SymPerm(list(t.image))]).order() == order
-        assert not generates_symmetric([s, t])
-        with pytest.raises(ValueError):
-            Basis(s, t)
+        assert_rejected(text, degree, order)
 
     def test_generating_pairs_at_the_boundary_accepted(self):
         assert generates_symmetric([parse_cycles("(0,1,2,3,4)", 6),
@@ -407,8 +415,39 @@ def generates_by_half_closure(gens):
     return len(elements) > half or len(elements) == math.factorial(degree)
 
 
+class TestJordanStages:
+    # Primitive groups with an odd generator that a looser certificate rule
+    # would accept.
+    @pytest.mark.parametrize("text, degree, order", [
+        # S_5 on the ten 2-subsets of 5 points. s, the image of (0,1,2)(3,4),
+        # has cycle type (6,3,1): one 3-cycle, but 6 is not prime to 3.
+        ("(0,4,1)(2,6,7,3,5,8);(0,4,7,9,3)(1,5,8,2,6)", 10, 120),
+        # PGL(2,5) on the projective line: a 5-cycle, and 5 = n-1 > n-3.
+        ("(0,1,2,3,4);(0,5)(1,2)(3,4)", 6, 120),
+        # AGL(1,11), x -> x+1 and x -> 2x: an 11-cycle, and 11 = n.
+        ("(0,1,2,3,4,5,6,7,8,9,10);(1,2,4,8,5,10,9,7,3,6)", 11, 110),
+    ])
+    def test_primitive_groups_without_certificate_rejected(self, text, degree, order):
+        assert assert_rejected(text, degree, order).is_primitive()
+
+    def test_two_subset_action_has_a_lone_cycle_of_a_prime_length(self):
+        s = parse_cycles("(0,4,1)(2,6,7,3,5,8)", 10)
+        assert sorted(map(len, s.cycles())) == [3, 6]
+
+    # Transitive, with an odd generator and a transposition, but with blocks
+    # of size 2: only the primitivity stage rejects them.
+    @pytest.mark.parametrize("text, degree, order", [
+        ("(0,2,4,1,3,5);(0,2)(1,3)", 6, 48),        # S_2 wr S_3
+        ("(0,2,4,6,1,3,5,7);(0,2)(1,3)", 8, 384),   # S_2 wr S_4
+    ])
+    def test_imprimitive_groups_with_a_transposition_rejected(self, text, degree, order):
+        group = assert_rejected(text, degree, order)
+        assert group.is_transitive() and not group.is_primitive()
+        assert group.contains(SymPerm(0, 1, size=degree))
+
+
 class TestGenerationAgainstReferences:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_every_pair_against_half_closure(self, n):
         perms_n = [Perm(p) for p in itertools.permutations(range(n))]
         accepted = 0
@@ -417,9 +456,9 @@ class TestGenerationAgainstReferences:
                 ours = generates_symmetric([s, t])
                 assert ours == generates_by_half_closure([s, t]), (s, t)
                 accepted += ours
-        assert accepted == {1: 1, 2: 3, 3: 18, 4: 216}[n]
+        assert accepted == {1: 1, 2: 3, 3: 18, 4: 216, 5: 6840}[n]
 
-    @pytest.mark.parametrize("n", [6, 7, 8])
+    @pytest.mark.parametrize("n", [6, 7, 8, 9, 10, 12])
     def test_seeded_pairs_against_sympy(self, n):
         rng = random.Random(n)
         outcomes = set()
