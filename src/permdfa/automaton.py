@@ -10,14 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .errors import AutomatonFormatError, CycleFormatError, NotAPermutationError
-from .perm import (
-    DEFAULT_CLOSURE_CAP,
-    Perm,
-    _closure_images,
-    _point_orbit,
-    format_cycles,
-    parse_cycles,
-)
+from .perm import Perm, _closure_images, _point_orbit, format_cycles, parse_cycles
 
 
 class Semiautomaton:
@@ -67,10 +60,6 @@ class Semiautomaton:
         except KeyError:
             raise ValueError(f"unknown letter {letter!r}") from None
         return act[state]
-
-    def is_permutation_automaton(self) -> bool:
-        n = self.state_count
-        return all(len(set(act)) == n for act in self.actions.values())
 
     def require_permutations(self) -> None:
         for letter, act in self.actions.items():
@@ -176,14 +165,12 @@ class TransitionSemigroup:
         return f"<TransitionSemigroup degree={self.degree} order={len(self.elements)}>"
 
 
-def transition_semigroup(a: Semiautomaton, cap: Optional[int] = None) -> TransitionSemigroup:
-    """Close the letter actions under word extension; error past the cap."""
-    if cap is None:
-        cap = DEFAULT_CLOSURE_CAP
+def transition_semigroup(a: Semiautomaton) -> TransitionSemigroup:
+    """Close the letter actions under word extension."""
     gens = {letter: a.actions[letter] for letter in a.alphabet}
     # Each closure step puts one more letter in front of a word, which
     # reaches every nonempty word.
-    elements = _closure_images(list(gens.values()), gens.values(), cap=cap)
+    elements = _closure_images(list(gens.values()), gens.values())
     return TransitionSemigroup(a.state_count, frozenset(elements), gens)
 
 
@@ -350,22 +337,6 @@ def distinguishability_complexity(d: DFA) -> int:
         if rp != rq:
             parent[rq] = rp
     return len({find(q) for q in reach})
-
-
-def is_uniformly_minimal(a: Semiautomaton) -> bool:
-    """Whether every nonempty proper final set yields a minimal DFA."""
-    n = a.state_count
-    if n < 2:
-        raise ValueError("uniform minimality needs at least two states")
-    reach = reachable_states(a)
-    if len(reach) != n:
-        return False
-    acts = [a.actions[letter] for letter in a.alphabet]
-    for mask in range(1, (1 << n) - 1):
-        cls = moore_classes(acts, reach, mask, n)
-        if max(cls[q] for q in reach) + 1 != n:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

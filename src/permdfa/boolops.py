@@ -91,17 +91,3 @@ def is_proper(f: BoolFn) -> bool:
 def proper_functions() -> tuple[BoolFn, ...]:
     """The ten proper functions in ascending table order."""
     return tuple(BoolFn.by_table(t) for t in range(16) if t not in _IMPROPER)
-
-
-def representative_of(f: BoolFn) -> BoolFn:
-    """The canonical function whose complexity class f shares.
-
-    Each proper function is either one of the five canonical tables or the
-    complement of one; complementing the result language does not change its
-    complexity, so both are judged through the same representative.
-    """
-    if not is_proper(f):
-        raise ValueError(f"{f.bits()} is not a proper function")
-    if f.table in CANONICAL_TABLES:
-        return BoolFn.by_table(f.table)
-    return f.complement()

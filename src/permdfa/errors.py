@@ -22,7 +22,9 @@ class AutomatonFormatError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """A closure grew past its configured element cap."""
+    """A computation was asked past a fixed limit: generating-pair
+    enumeration above MAX_ENUMERATION_DEGREE, or an exhaustive sweep above
+    EXHAUSTIVE_BUDGET instances."""
 
 
 class TwoPathDisagreement(RuntimeError):

@@ -112,7 +112,7 @@ def enumerate_bases(n: int) -> Tuple[Basis, ...]:
     Pairs with equal components are kept only at degree 2, the one degree
     where such a pair still generates.
     """
-    return tuple(generating_pairs(n, allow_equal=n == 2))
+    return tuple(generating_pairs(n))
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,10 @@
 
 This module also holds the two search loops the package shares: the
 point-orbit BFS (_point_orbit) behind reachability and transitivity, and
-the element closure (_closure_images) behind generated groups, the
-generation test, transition semigroups and the product group. The
-generation test (_images_generate_symmetric) rejects by parity,
-transitivity and primitivity and accepts by Jordan's theorem on prime
-cycles; the closure is its exact fallback.
+the element closure (_closure_images) behind the generation test and
+transition semigroups. The generation test (_images_generate_symmetric)
+rejects by parity, transitivity and primitivity and accepts by Jordan's
+theorem on prime cycles; the closure is its exact fallback.
 
 Composition is right-to-left throughout this module: compose(p, q) applies q
 first, so compose(p, q)(i) == p(q(i)). Words over an automaton alphabet act
@@ -28,9 +27,6 @@ from .errors import (
     DegreeMismatchError,
     NotAPermutationError,
 )
-
-# Default element cap for group closures; enough for every subgroup of S_8.
-DEFAULT_CLOSURE_CAP = math.factorial(8)
 
 # Generating pairs are found by testing all (n!)^2 ordered pairs.
 MAX_ENUMERATION_DEGREE = 5
@@ -116,10 +112,6 @@ def compose(p: Perm, q: Perm) -> Perm:
         raise DegreeMismatchError(f"cannot compose degree {p.degree} with degree {q.degree}")
     pi = p.image
     return Perm(tuple(map(pi.__getitem__, q.image)))
-
-
-def inverse(p: Perm) -> Perm:
-    return p.inverse()
 
 
 def conjugate(r: Perm, g: Perm) -> Perm:
@@ -215,20 +207,18 @@ def _point_orbit(actions: Sequence[Sequence[int]], start: int, size: int) -> byt
 def _closure_images(
     images: list[tuple[int, ...]],
     seed: Iterable[tuple[int, ...]],
-    cap: Optional[int] = None,
     stop_above: Optional[int] = None,
     stop_at: Optional[Callable[[tuple[int, ...]], bool]] = None,
 ) -> Optional[set[tuple[int, ...]]]:
     """BFS closure of the seed under composition with the image tuples.
 
-    Seeded with the identity this is the generated group; seeded with the
-    generators it is the semigroup of nonempty products. The closure stops
-    early and returns None once it holds more than stop_above elements, or
-    once it meets a new element y with stop_at(y).
+    Seeded with the generators this is the semigroup of nonempty products,
+    which for permutations is the generated group; the generation test adds
+    the identity to the seed. The closure stops early and returns None once
+    it holds more than stop_above elements, or once it meets a new element y
+    with stop_at(y).
     """
     elements = set(seed)
-    if cap is not None and len(elements) > cap:
-        raise CapExceededError(f"closure exceeded cap of {cap}")
     frontier = list(elements)
     while frontier:
         step = []
@@ -237,8 +227,6 @@ def _closure_images(
                 y = tuple(map(x.__getitem__, g))
                 if y not in elements:
                     elements.add(y)
-                    if cap is not None and len(elements) > cap:
-                        raise CapExceededError(f"closure exceeded cap of {cap}")
                     if stop_above is not None and len(elements) > stop_above:
                         return None
                     if stop_at is not None and stop_at(y):
@@ -246,30 +234,6 @@ def _closure_images(
                     step.append(y)
         frontier = step
     return elements
-
-
-class GroupClosure:
-    """The subgroup generated by some permutations, with its generators kept."""
-
-    __slots__ = ("degree", "generators", "elements")
-
-    def __init__(self, degree: int, generators: tuple[Perm, ...], elements: frozenset[Perm]):
-        self.degree = degree
-        self.generators = generators
-        self.elements = elements
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self) -> Iterator[Perm]:
-        return iter(self.elements)
-
-    def __contains__(self, p: object) -> bool:
-        return p in self.elements
-
-    def __repr__(self) -> str:
-        gens = ", ".join(format_cycles(g) for g in self.generators)
-        return f"<GroupClosure degree={self.degree} order={len(self.elements)} gens=[{gens}]>"
 
 
 def _generator_images(gens: tuple[Perm, ...]) -> tuple[list[tuple[int, ...]], int]:
@@ -280,16 +244,6 @@ def _generator_images(gens: tuple[Perm, ...]) -> tuple[list[tuple[int, ...]], in
     if any(g.degree != degree for g in gens):
         raise DegreeMismatchError("generators must share a degree")
     return [g.image for g in gens], degree
-
-
-def generate_group(gens: Iterable[Perm], cap: Optional[int] = None) -> GroupClosure:
-    """Close the generators under composition; error if the cap is exceeded."""
-    gens = tuple(gens)
-    images, degree = _generator_images(gens)
-    if cap is None:
-        cap = DEFAULT_CLOSURE_CAP
-    elements = _closure_images(images, [tuple(range(degree))], cap=cap)
-    return GroupClosure(degree, gens, frozenset(Perm(t) for t in elements))
 
 
 def _cycle_lengths(image: Sequence[int]) -> list[int]:
@@ -414,41 +368,18 @@ def generates_symmetric(gens: Iterable[Perm]) -> bool:
     return _images_generate_symmetric(*_generator_images(tuple(gens)))
 
 
-def acts_transitively(gens: Iterable[Perm]) -> bool:
-    """Whether the generated group has a single orbit on points."""
-    images, degree = _generator_images(tuple(gens))
-    return _point_orbit(images, 0, degree).count(1) == degree
-
-
-def acts_doubly_transitively(gens: Iterable[Perm]) -> bool:
-    """Single orbit on ordered pairs of distinct points; degree must be >= 2."""
-    images, degree = _generator_images(tuple(gens))
-    if degree < 2:
-        raise ValueError("double transitivity needs at least two points")
-    # The pair (a, b) is the point a * degree + b.
-    pair_actions = [
-        [g[a] * degree + g[b] for a in range(degree) for b in range(degree)]
-        for g in images
-    ]
-    orbit = _point_orbit(pair_actions, 1, degree * degree)
-    return orbit.count(1) == degree * (degree - 1)
-
-
 class Basis:
     """An ordered pair of permutations of one degree that generates S_n.
 
-    Generation is checked at construction. Distinctness of the two components
-    is optional and off by default; at n = 2 the pair (s, s) with s the
-    transposition still generates and is accepted.
+    Generation is checked at construction. The components may be equal: at
+    n = 2 the pair (s, s) with s the transposition still generates.
     """
 
     __slots__ = ("s", "t")
 
-    def __init__(self, s: Perm, t: Perm, *, require_distinct: bool = False):
+    def __init__(self, s: Perm, t: Perm):
         if s.degree != t.degree:
             raise DegreeMismatchError("basis components must share a degree")
-        if require_distinct and s == t:
-            raise ValueError("basis components must be distinct")
         if not _images_generate_symmetric([s.image, t.image], s.degree):
             raise ValueError(
                 f"{format_cycles(s)};{format_cycles(t)} does not generate the "
@@ -458,16 +389,12 @@ class Basis:
         self.t = t
 
     @classmethod
-    def parse(cls, text: str, degree: int, *, require_distinct: bool = False) -> "Basis":
+    def parse(cls, text: str, degree: int) -> "Basis":
         """Parse "S;T" where S and T are cycle expressions at the degree."""
         parts = text.split(";")
         if len(parts) != 2:
             raise CycleFormatError("a basis is two cycle expressions joined by ';'")
-        return cls(
-            parse_cycles(parts[0], degree),
-            parse_cycles(parts[1], degree),
-            require_distinct=require_distinct,
-        )
+        return cls(parse_cycles(parts[0], degree), parse_cycles(parts[1], degree))
 
     @classmethod
     def _trusted(cls, s: Perm, t: Perm) -> "Basis":
@@ -566,9 +493,11 @@ def conjugation_orbits(bases: Sequence[Basis]) -> list[tuple[int, Perm]]:
     return table
 
 
-def generating_pairs(n: int, allow_equal: bool) -> Iterator[Basis]:
+def generating_pairs(n: int) -> Iterator[Basis]:
     """Every ordered pair (s, t) with <s, t> = S_n, lexicographic by image
-    tuples; pairs with s == t only when allow_equal is set."""
+    tuples. Pairs with s == t are kept only at degree 2, where (s, s) with s
+    the transposition generates; degree 1 yields none, although (id, id)
+    generates S_1 trivially."""
     if n < 1:
         raise ValueError("degree must be at least 1")
     if n > MAX_ENUMERATION_DEGREE:
@@ -577,12 +506,7 @@ def generating_pairs(n: int, allow_equal: bool) -> Iterator[Basis]:
     perms = [Perm(p) for p in itertools.permutations(range(n))]
     for s in perms:
         for t in perms:
-            if s is t and not allow_equal:
+            if s is t and n != 2:
                 continue
             if _images_generate_symmetric([s.image, t.image], n):
                 yield Basis._trusted(s, t)
-
-
-def count_generating_pairs(n: int, allow_equal: bool = False) -> int:
-    """Count ordered pairs (s, t) with <s, t> = S_n by plain enumeration."""
-    return sum(1 for _ in generating_pairs(n, allow_equal))

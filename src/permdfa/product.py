@@ -11,16 +11,12 @@ not.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .automaton import DFA, Semiautomaton, finals_to_mask, is_connected
 from .boolops import BoolFn
-from .perm import Basis, Perm, _closure_images, bases_conjugate
-
-# Enough for the full product group of two degree-6 factors.
-DEFAULT_PRODUCT_GROUP_CAP = math.factorial(6) ** 2
+from .perm import Basis, bases_conjugate
 
 
 class ProductAutomaton(Semiautomaton):
@@ -228,42 +224,6 @@ def predict_connected(left_basis: Basis, right_basis: Basis) -> bool:
     if left_basis.degree != right_basis.degree:
         return True
     return bases_conjugate(left_basis, right_basis) is None
-
-
-@dataclass(frozen=True)
-class StabilizerImage:
-    """Classification of the right-coordinate action of the subgroup that
-    fixes left state 0."""
-
-    kind: str  # "symmetric" | "alternating" | "point_stabilizer" | "other"
-    fixed_point: Optional[int]
-    order: int
-
-
-def stabilizer_image(p: ProductAutomaton, cap: Optional[int] = None) -> StabilizerImage:
-    """Build the product transition group, keep the elements whose left part
-    fixes 0, and classify what their right parts form."""
-    p.require_permutations()
-    if cap is None:
-        cap = DEFAULT_PRODUCT_GROUP_CAP
-    m, n = p.left_count, p.right_count
-    # The product group acts on m + n points: left states as they are, right
-    # states offset by m.
-    gens = [
-        tuple(p.left.actions[letter]) + tuple(m + q for q in p.right.actions[letter])
-        for letter in p.alphabet
-    ]
-    elements = _closure_images(gens, [tuple(range(m + n))], cap=cap)
-    image = {tuple(q - m for q in e[m:]) for e in elements if e[0] == 0}
-    order = len(image)
-    if order == math.factorial(n):
-        return StabilizerImage("symmetric", None, order)
-    common = [q for q in range(n) if all(r[q] == q for r in image)]
-    if common and order == math.factorial(n - 1):
-        return StabilizerImage("point_stabilizer", common[0], order)
-    if order == math.factorial(n) // 2 and all(Perm(r).is_even() for r in image):
-        return StabilizerImage("alternating", None, order)
-    return StabilizerImage("other", None, order)
 
 
 def format_pair_graph(

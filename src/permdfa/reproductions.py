@@ -14,7 +14,7 @@ from .automaton import (
     reachable_states,
     transition_semigroup,
 )
-from .boolops import BoolFn, proper_functions
+from .boolops import CANONICAL_TABLES, BoolFn, proper_functions
 from .perm import Basis, bases_conjugate, format_cycles
 from .product import (
     classify_component,
@@ -220,7 +220,7 @@ def _reproduce_prop_1(m: Optional[int], n: Optional[int]) -> str:
     lines.append(f"left: {m} states, a = full cycle, b = (0,1), final {m - 1}")
     fmask = 1 << (m - 1)
     gmask = 1 << (n - 1)
-    canonical = [BoolFn.by_table(t) for t in (1, 2, 4, 6, 7)]
+    canonical = [BoolFn.by_table(t) for t in CANONICAL_TABLES]
     sections = [("right-swapped",
                  _witness_semiautomaton(n, swapped=True),
                  f"right-swapped: {n} states, b = full cycle, a = (0,1),"

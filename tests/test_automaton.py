@@ -1,6 +1,5 @@
 """DFA layer: construction, runs, semigroups, minimization, text format."""
 
-import itertools
 import random
 
 import pytest
@@ -10,8 +9,8 @@ from hypothesis import strategies as st
 from permdfa import (
     AutomatonFormatError,
     Basis,
-    CapExceededError,
     DFA,
+    NotAPermutationError,
     Semiautomaton,
     accepts,
     distinguishability_complexity,
@@ -20,7 +19,6 @@ from permdfa import (
     from_basis,
     is_connected,
     is_strongly_connected,
-    is_uniformly_minimal,
     minimize,
     parse_automaton_text,
     reachable_states,
@@ -78,12 +76,11 @@ class TestConstruction:
         assert a.alphabet == ("a", "b")
         assert a.actions["a"] == (1, 2, 0)
         assert a.actions["b"] == (1, 0, 2)
-        assert a.is_permutation_automaton()
+        a.require_permutations()
 
     def test_permutation_check(self):
         a = Semiautomaton(2, ("a",), {"a": (0, 0)})
-        assert not a.is_permutation_automaton()
-        with pytest.raises(ValueError):
+        with pytest.raises(NotAPermutationError):
             a.require_permutations()
 
 
@@ -159,11 +156,6 @@ class TestTransitionSemigroup:
         assert (0, 1, 2) in sg
         assert len(sg) == 3
 
-    def test_cap(self):
-        b = Basis.parse("(0,1,2,3,4);(0,1)", 5)
-        with pytest.raises(CapExceededError):
-            transition_semigroup(from_basis(b), cap=10)
-
 
 class TestMinimize:
     def test_already_minimal(self):
@@ -211,41 +203,6 @@ class TestMinimize:
         for _ in range(60):
             d = random_dfa(rng, max_states=20)
             assert minimize(d)[1] == distinguishability_complexity(d)
-
-
-class TestUniformMinimality:
-    def test_positive(self):
-        # 2-transitive letter actions distinguish every final choice
-        assert is_uniformly_minimal(from_basis(B3))
-
-    def test_negative_cyclic(self):
-        a = Semiautomaton(4, ("a",), {"a": (1, 2, 3, 0)})
-        assert not is_uniformly_minimal(a)
-
-    def test_disconnected_is_not(self):
-        a = Semiautomaton(3, ("a",), {"a": (1, 0, 2)})
-        assert not is_uniformly_minimal(a)
-
-    def test_matches_direct_enumeration(self):
-        rng = random.Random(3)
-        for _ in range(25):
-            n = rng.randrange(2, 6)
-            acts = {}
-            for letter in ("a", "b"):
-                img = list(range(n))
-                rng.shuffle(img)
-                acts[letter] = tuple(img)
-            a = Semiautomaton(n, ("a", "b"), acts)
-            expect = all(
-                minimize(DFA(n, a.alphabet, a.actions, 0, set(fs)))[1] == n
-                for size in range(1, n)
-                for fs in itertools.combinations(range(n), size)
-            )
-            assert is_uniformly_minimal(a) == expect
-
-    def test_single_state_rejected(self):
-        with pytest.raises(ValueError):
-            is_uniformly_minimal(Semiautomaton(1, ("a",), {"a": (0,)}))
 
 
 class TestTextFormat:

@@ -37,6 +37,7 @@ class TestEnumerateBases:
         assert len(enumerate_bases(2)) == 3
         assert len(enumerate_bases(3)) == 18
         assert len(enumerate_bases(4)) == 216
+        assert len(enumerate_bases(5)) == 6840
 
     def test_equal_components_only_at_degree_two(self):
         assert sum(1 for b in enumerate_bases(2) if b.s == b.t) == 1

@@ -1,4 +1,4 @@
-"""Products, pair graphs, structural predictions, stabilizer images."""
+"""Products, pair graphs, structural predictions."""
 
 import random
 
@@ -28,7 +28,6 @@ from permdfa import (
     predict_minimal,
     product_dfa,
     proper_functions,
-    stabilizer_image,
 )
 from permdfa.harness import enumerate_bases
 from permdfa.product import PairGraph, flat_final_mask
@@ -321,47 +320,6 @@ class TestFlatFinalSet:
                 assert (i * 5 + j in got) == expect
                 assert bool(mask >> (i * 5 + j) & 1) == expect
         assert mask >> 20 == 0
-
-
-class TestStabilizerImage:
-    def test_conjugate_pair_gives_point_stabilizer(self):
-        b1 = Basis.parse("(0,1,2);(0,1)", 3)
-        b2 = Basis.parse("(0,1,2);(1,2)", 3)
-        si = stabilizer_image(direct_product(from_basis(b1), from_basis(b2)))
-        assert si.kind == "point_stabilizer"
-        assert si.fixed_point == 1
-        assert si.order == 2
-
-    def test_non_conjugate_pair_gives_symmetric(self):
-        b1 = Basis.parse("(0,1,2);(0,1)", 3)
-        b3 = Basis.parse("(0,1);(0,1,2)", 3)
-        si = stabilizer_image(direct_product(from_basis(b1), from_basis(b3)))
-        assert si.kind == "symmetric"
-        assert si.fixed_point is None
-        assert si.order == 6
-
-    def test_identical_degree_two(self):
-        b = Basis.parse("(0,1);(0,1)", 2)
-        si = stabilizer_image(direct_product(from_basis(b), from_basis(b)))
-        assert si.kind == "point_stabilizer"
-        assert si.fixed_point == 0
-        assert si.order == 1
-
-    def test_mixed_degrees_sign_locked(self):
-        # left group S_2, right S_3; generators pair even with even and
-        # odd with odd, so the left-0 stabilizer sees only even right parts
-        si = stabilizer_image(product_23())
-        assert si.kind == "alternating"
-        assert si.order == 3
-
-    def test_kind_always_classified_small(self):
-        rng = random.Random(31)
-        for _ in range(25):
-            n = rng.randrange(2, 5)
-            b1 = _random_basis(rng, n)
-            b2 = _random_basis(rng, n)
-            si = stabilizer_image(direct_product(from_basis(b1), from_basis(b2)))
-            assert si.kind in ("symmetric", "alternating", "point_stabilizer")
 
 
 class TestFormatting:
