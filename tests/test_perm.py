@@ -24,7 +24,7 @@ from permdfa import (
     transition_semigroup,
 )
 from permdfa.harness import enumerate_bases
-from permdfa.perm import _closure_images
+from permdfa.perm import CapExceededError, _closure_images, generating_pairs
 
 
 def perms(degree):
@@ -467,3 +467,14 @@ class TestGenerationAgainstReferences:
             assert ours == (order == math.factorial(n)), (s, t)
             outcomes.add(ours)
         assert outcomes == {True, False}
+
+
+class TestCounting:
+    def test_counts(self):
+        counts = {n: sum(1 for _ in generating_pairs(n)) for n in (1, 2, 3, 4, 5)}
+        assert counts == {1: 0, 2: 3, 3: 18, 4: 216, 5: 6840}
+        assert sum(1 for b in generating_pairs(2) if b.s != b.t) == 2
+
+    def test_cap(self):
+        with pytest.raises(CapExceededError):
+            next(generating_pairs(6))
