@@ -134,44 +134,12 @@ def is_strongly_connected(a: Semiautomaton) -> bool:
     return all(_point_orbit(acts, start, n).count(1) == n for start in range(n))
 
 
-class TransitionSemigroup:
-    """All transformations induced by nonempty words, with the letter map."""
-
-    __slots__ = ("degree", "elements", "generators")
-
-    def __init__(
-        self,
-        degree: int,
-        elements: frozenset[tuple[int, ...]],
-        generators: dict[str, tuple[int, ...]],
-    ):
-        self.degree = degree
-        self.elements = elements
-        self.generators = generators
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, t: object) -> bool:
-        return t in self.elements
-
-    def is_group(self) -> bool:
-        return all(len(set(t)) == self.degree for t in self.elements)
-
-    def __repr__(self) -> str:
-        return f"<TransitionSemigroup degree={self.degree} order={len(self.elements)}>"
-
-
-def transition_semigroup(a: Semiautomaton) -> TransitionSemigroup:
-    """Close the letter actions under word extension."""
-    gens = {letter: a.actions[letter] for letter in a.alphabet}
+def transition_semigroup(a: Semiautomaton) -> frozenset[tuple[int, ...]]:
+    """All transformations induced by nonempty words, as image tuples."""
+    gens = [a.actions[letter] for letter in a.alphabet]
     # Each closure step puts one more letter in front of a word, which
     # reaches every nonempty word.
-    elements = _closure_images(list(gens.values()), gens.values())
-    return TransitionSemigroup(a.state_count, frozenset(elements), gens)
+    return frozenset(_closure_images(gens, gens))
 
 
 def moore_classes(

@@ -7,14 +7,18 @@ instance is minimal exactly when the oracle count equals m*n, and every
 count below m*n is recomputed by the table-filling oracle; a disagreement
 aborts the whole campaign, because it would mean one of the routes is wrong.
 
-Complementing the product's finals changes neither the Nerode partition nor
-which pair-graph components hold a distinguishing pair, so within one basis
-pair each {mask, ~mask} is judged once and later rows reuse the verdict.
+A campaign judges a basis pair on its combos, the (F, F', op) choices of
+its rows, into an entry (_Judged) that holds the verdicts and their tally,
+then emits the entry (_emit): the one place that writes rows, adds tallies
+to the CampaignResult, builds VerificationRecords and raises
+TwoPathDisagreement.  Complementing the product's finals changes neither
+the Nerode partition nor which pair-graph components hold a distinguishing
+pair, so judging a pair judges each {mask, ~mask} once.
 
 Exhaustive campaigns judge one basis pair per orbit of S_m x S_n relabelling
-both bases; the orbit's other connected pairs reuse its verdicts (see
-_sweep).  evaluate_instance builds a fresh context per instance and so is
-the unreduced reference.
+both bases; the orbit's other connected pairs emit its entry through a pick
+that reorders its verdicts (see _sweep).  evaluate_instance judges a fresh
+context per instance and so is the unreduced reference.
 
 The reproduction reports live in reproductions; reproduce and
 REPRODUCE_IDS are re-exported here.
@@ -185,97 +189,62 @@ class CampaignResult:
 
 
 class _PairContext:
-    """Everything about one ordered basis pair that final sets don't change."""
+    """Everything about one ordered basis pair that final sets don't change.
+
+    head is (m, n, b1 text, b2 text, conjugate, connected), the first six
+    fields of each of the pair's VerificationRecords.
+    """
 
     __slots__ = (
-        "b1_text", "b2_text", "m", "n", "mn", "conjugate", "connected",
-        "product", "actions", "reachable", "fixes_initial",
-        "conjugate_shape_ok", "components", "prefix", "full", "verdicts",
+        "head", "m", "n", "mn", "conjugate", "connected", "product",
+        "actions", "reachable", "conjugate_bound", "components",
     )
 
     def __init__(self, b1: Basis, b2: Basis):
-        self.b1_text = str(b1)
-        self.b2_text = str(b2)
         self.m = b1.degree
         self.n = b2.degree
         self.mn = self.m * self.n
-        conjugator = None
-        if self.m == self.n:
-            conjugator = bases_conjugate(b1, b2)
+        conjugator = bases_conjugate(b1, b2) if self.m == self.n else None
         self.conjugate = conjugator is not None
         prod = self.product = direct_product(from_basis(b1), from_basis(b2))
         self.actions = [prod.actions[letter] for letter in prod.alphabet]
         self.reachable = reachable_states(prod)
         self.connected = len(self.reachable) == self.mn
         # For conjugate bases the reachable part is forced: with conjugator
-        # r it is the graph of r when r fixes the shared start state, and
-        # every off-diagonal pair (x, r(y)), x != y, when it does not.
-        self.fixes_initial = False
-        self.conjugate_shape_ok = False
+        # r it is the graph of r (n states) when r fixes the shared start
+        # state, and every off-diagonal pair (x, r(y)), x != y (n(n-1)
+        # states), when it does not.  The complexity is bounded by that
+        # count; the bound is -1 when the reachable part has another shape.
+        self.conjugate_bound = -1
         if self.conjugate:
             r = conjugator.image
             n = self.n
-            self.fixes_initial = r[0] == 0
-            if self.fixes_initial:
+            if r[0] == 0:
                 expected = {x * n + r[x] for x in range(n)}
             else:
                 expected = {x * n + r[y]
                             for x in range(n) for y in range(n) if y != x}
-            self.conjugate_shape_ok = set(self.reachable) == expected
-        if self.connected:
-            self.components = pair_graph(prod).components
-        else:
-            self.components = None
-        self.prefix = _row_prefix(self.m, self.n, self.b1_text, self.b2_text,
-                                  self.conjugate, self.connected)
-        self.full = (1 << self.mn) - 1
-        # Complement-canonical flat mask (bit mn-1 clear) -> _judge_mask.
-        self.verdicts = {}
+            if set(self.reachable) == expected:
+                self.conjugate_bound = len(expected)
+        self.components = (pair_graph(prod).components if self.connected
+                           else None)
+        self.head = (self.m, self.n, str(b1), str(b2), self.conjugate,
+                     self.connected)
 
 
-def _combo(finals_left: Tuple[int, ...], finals_right: Tuple[int, ...],
-           op: BoolFn, m: int, n: int):
-    """One (F, F', op) choice with its flat finals mask and row text."""
-    flat = flat_final_mask(op, finals_to_mask(finals_left), m,
-                           finals_to_mask(finals_right), n)
-    return (finals_left, finals_right, op, flat,
-            _combo_text(finals_left, finals_right, op))
+def _finals(mask: int, k: int) -> Tuple[int, ...]:
+    return tuple(i for i in range(k) if mask >> i & 1)
 
 
-def _final_op_combos(m: int, n: int, ops: Sequence[BoolFn]):
-    """Every (F, F', op) choice as _combo builds it.
-
-    The combos only depend on m, n and the operation tables, so one table is
-    shared by every basis pair of a sweep.
-    """
-    combos = []
-    for fmask in range(1, (1 << m) - 1):
-        finals_left = tuple(i for i in range(m) if fmask >> i & 1)
-        for gmask in range(1, (1 << n) - 1):
-            finals_right = tuple(j for j in range(n) if gmask >> j & 1)
-            for op in ops:
-                combos.append(_combo(finals_left, finals_right, op, m, n))
-    return combos
-
-
-def _judge(ctx: _PairContext, oracle: int) -> str:
-    if ctx.conjugate:
-        # Conjugate bases force a disconnected product whose reachable part
-        # is n states (graph of the conjugator) when the conjugator fixes
-        # the start state and n(n-1) states otherwise; the complexity is
-        # bounded by that count.
-        bound = ctx.n if ctx.fixes_initial else ctx.n * (ctx.n - 1)
-        ok = (not ctx.connected and ctx.conjugate_shape_ok
-              and oracle <= bound)
-        return STATUS_PASS if ok else STATUS_FAIL
-    if not ctx.connected:
-        # contradicts the connectivity criterion for non-conjugate pairs
-        return STATUS_FAIL
-    if oracle == ctx.mn:
-        return STATUS_PASS
-    if (ctx.m, ctx.n) in EXCEPTION_DEGREES:
-        return STATUS_EXCEPTION
-    return STATUS_FAIL
+def _combos(m: int, n: int, choices):
+    """A pair's combos for the given (F, F', op) choices, as two lists:
+    each choice with its flat finals mask appended, and each choice's row
+    text."""
+    return ([(finals_left, finals_right, op,
+              flat_final_mask(op, finals_to_mask(finals_left), m,
+                              finals_to_mask(finals_right), n))
+             for finals_left, finals_right, op in choices],
+            [_combo_text(*choice) for choice in choices])
 
 
 def _judge_mask(ctx: _PairContext, flat: int):
@@ -299,56 +268,103 @@ def _judge_mask(ctx: _PairContext, flat: int):
         table_filling = distinguishability_complexity(dfa)
         if table_filling != oracle:
             disagree = (oracle, table_filling)
-    status = STATUS_FAIL if disagree else _judge(ctx, oracle)
+    if disagree:
+        status = STATUS_FAIL
+    elif ctx.conjugate:
+        status = STATUS_PASS if oracle <= ctx.conjugate_bound else STATUS_FAIL
+    elif ctx.connected and oracle == mn:
+        status = STATUS_PASS
+    elif ctx.connected and (ctx.m, ctx.n) in EXCEPTION_DEGREES:
+        status = STATUS_EXCEPTION
+    else:
+        # a disconnected product contradicts the connectivity criterion
+        status = STATUS_FAIL
     return (predicted, oracle, status, disagree,
             _verdict_text(predicted, oracle, status) + "\n")
 
 
-def _evaluate(
-    ctx: _PairContext,
-    combo: Tuple[Tuple[int, ...], Tuple[int, ...], BoolFn, int, str],
-    result: CampaignResult,
-    sink: Optional[Callable[[VerificationRecord], None]],
-    out: Optional[TextIO],
-) -> None:
-    finals_left, finals_right, op, flat, text = combo
-    key = flat ^ ctx.full if flat >> (ctx.mn - 1) & 1 else flat
-    verdict = ctx.verdicts.get(key)
-    if verdict is None:
-        verdict = ctx.verdicts[key] = _judge_mask(ctx, flat)
-    predicted, oracle, status, disagree, suffix = verdict
+class _Judged:
+    """A basis pair judged on its combos' choices, each {mask, ~mask} once:
+    the verdicts (as _judge_mask gives them) in combo order, their verdict
+    texts, and one tally of them.
 
-    result.total += 1
-    if status == STATUS_PASS:
-        result.n_pass += 1
-    elif status == STATUS_EXCEPTION:
-        result.n_exception += 1
-    else:
-        result.n_fail += 1
-    if ctx.conjugate:
-        result.n_conjugate += 1
-        if oracle == ctx.n:
+    The tally: the status counts, below_mn (non-conjugate rows below m*n),
+    reached_n (a conjugate pair's oracle reached n; None if not conjugate)
+    and disagree_at, the index of the disagreement that ends judging.
+    """
+
+    __slots__ = ("verdicts", "texts", "n_pass", "n_exception", "n_fail",
+                 "below_mn", "reached_n", "disagree_at")
+
+    def __init__(self, ctx: _PairContext, choices):
+        full = (1 << ctx.mn) - 1
+        memo = {}
+        verdicts = self.verdicts = []
+        for choice in choices:
+            flat = choice[3]
+            key = min(flat, flat ^ full)
+            verdict = memo.get(key)
+            if verdict is None:
+                verdict = memo[key] = _judge_mask(ctx, flat)
+            verdicts.append(verdict)
+            if verdict[3]:
+                break
+        _, oracles, statuses, _, self.texts = zip(*verdicts)
+        self.n_pass = statuses.count(STATUS_PASS)
+        self.n_exception = statuses.count(STATUS_EXCEPTION)
+        self.n_fail = statuses.count(STATUS_FAIL)
+        # no count exceeds m*n
+        self.below_mn = 0 if ctx.conjugate else (
+            len(oracles) - oracles.count(ctx.mn))
+        self.reached_n = ctx.n in oracles if ctx.conjugate else None
+        self.disagree_at = len(verdicts) - 1 if verdicts[-1][3] else None
+
+
+def _emit(head, combos, entry: _Judged, pick: Optional[itemgetter],
+          result: CampaignResult,
+          sink: Optional[Callable[[VerificationRecord], None]],
+          out: Optional[TextIO]) -> None:
+    """Write a pair's rows, add its tally to result and give sink its records.
+
+    entry was judged for this pair (pick None) or for its orbit's
+    representative, whose verdicts pick lists in this pair's combo order.
+    Records are built only for sink, for the campaign's first FAIL and for
+    a disagreement, which ends the rows and raises TwoPathDisagreement.
+    """
+    choices, texts = combos
+    if out is not None:
+        # each row is the pair's prefix, the combo text and the verdict
+        # text, which ends the row
+        prefix = _row_prefix(*head)
+        out.write(prefix + prefix.join(map(
+            add, texts, entry.texts if pick is None else pick(entry.texts))))
+    count = len(entry.verdicts)
+    result.total += count
+    result.n_pass += entry.n_pass
+    result.n_exception += entry.n_exception
+    result.n_fail += entry.n_fail
+    result.below_mn += entry.below_mn
+    if head[4]:
+        result.n_conjugate += count
+        if entry.reached_n:
             result.conjugate_attained = True
         elif result.conjugate_attained is None:
             result.conjugate_attained = False
-    elif oracle < ctx.mn:
-        result.below_mn += 1
+    if sink is None and not entry.n_fail:
+        return
+    verdicts = entry.verdicts if pick is None else pick(entry.verdicts)
 
-    record = None
-    if sink is not None or status == STATUS_FAIL and (
-            disagree or result.first_fail is None):
-        record = VerificationRecord(
-            ctx.m, ctx.n, ctx.b1_text, ctx.b2_text, ctx.conjugate,
-            ctx.connected, finals_left, finals_right, op, predicted,
-            oracle, status)
-        if status == STATUS_FAIL and result.first_fail is None:
-            result.first_fail = record
-    if out is not None:
-        out.write(ctx.prefix + text + suffix)
+    def record(i):
+        return VerificationRecord(*head, *choices[i][:3], *verdicts[i][:3])
+
     if sink is not None:
-        sink(record)
-    if disagree:
-        raise TwoPathDisagreement(record.tsv_row(), *disagree)
+        for i in range(count):
+            sink(record(i))
+    if entry.n_fail and result.first_fail is None:
+        result.first_fail = record([v[2] for v in verdicts].index(STATUS_FAIL))
+    if entry.disagree_at is not None:
+        at = entry.disagree_at
+        raise TwoPathDisagreement(record(at).tsv_row(), *verdicts[at][3])
 
 
 def evaluate_instance(
@@ -364,11 +380,11 @@ def evaluate_instance(
     gmask = finals_to_mask(finals_right)
     if not (0 < fmask < (1 << m) - 1) or not (0 < gmask < (1 << n) - 1):
         raise ValueError("final sets must be proper and nonempty")
+    ctx = _PairContext(b1, b2)
+    combos = _combos(m, n, [(_finals(fmask, m), _finals(gmask, n), op)])
     holder: List[VerificationRecord] = []
-    combo = _combo(tuple(sorted(set(finals_left))),
-                   tuple(sorted(set(finals_right))), op, m, n)
-    _evaluate(_PairContext(b1, b2), combo,
-              CampaignResult(CampaignConfig(m, n)), holder.append, None)
+    _emit(ctx.head, combos, _Judged(ctx, combos[0]), None,
+          CampaignResult(CampaignConfig(m, n)), holder.append, None)
     return holder[0]
 
 
@@ -406,8 +422,7 @@ def verify_theorem1(
     if out is not None:
         out.write(REPORT_HEADER + "\n")
     if config.mode == "sample":
-        for ctx, combo in _sampled_instances(config):
-            _evaluate(ctx, combo, result, sink, out)
+        _sample(config, result, sink, out)
     else:
         _sweep(config, result, sink, out)
     return result
@@ -438,19 +453,23 @@ def _sweep(config: CampaignConfig, result: CampaignResult,
     so its complexity does not depend on the start state.  The pair
     (r*rep1*r^-1, s*rep2*s^-1) therefore takes, for (F, F', op), the
     verdict its representative pair (rep1, rep2) gave (r^-1 F, s^-1 F', op).
-    The representative pair comes first in the stream, so its verdicts are
-    complete before any other pair of its orbit reads them.  Conjugate pairs
+    The representative pair comes first in the stream, so its entry is
+    complete before any other pair of its orbit reads it.  Conjugate pairs
     and pairs whose product is disconnected depend on the start state and
     are judged directly.
     """
     m, n = config.m, config.n
     ops = config.resolved_ops()
-    combos = _final_op_combos(m, n, ops)
-    texts = [combo[4] for combo in combos]
+    proper = [[_finals(mask, k) for mask in range(1, (1 << k) - 1)]
+              for k in (m, n)]
+    # every basis pair of the sweep shares one table of combos
+    combos = _combos(m, n, [(finals_left, finals_right, op)
+                            for finals_left in proper[0]
+                            for finals_right in proper[1] for op in ops])
     # Combo index of (F, F', op) is ((F - 1) * (2^n - 2) + F' - 1) * k + the
     # op's position, with F and F' as masks and k operations.
     k = len(ops)
-    positions = list(range(len(combos)))
+    positions = list(range(len(combos[0])))
     left = _relabelled_offsets(m, ((1 << n) - 2) * k)
     right = _relabelled_offsets(n, k)
     judged = {}
@@ -459,51 +478,25 @@ def _sweep(config: CampaignConfig, result: CampaignResult,
         rep1, b1_text, f_offsets = left[i]
         for j, b2 in enumerate(enumerate_bases(n)):
             rep2, b2_text, g_offsets = right[j]
-            reps = judged.get((rep1, rep2))
-            if reps is None:
+            entry = judged.get((rep1, rep2))
+            if entry is None:
                 ctx = _PairContext(b1, b2)
-                for combo in combos:
-                    _evaluate(ctx, combo, result, sink, out)
+                head, pick, entry = ctx.head, None, _Judged(ctx, combos[0])
                 if ((i, j) == (rep1, rep2) and ctx.connected
                         and not ctx.conjugate):
-                    full = ctx.full
-                    verdicts = [ctx.verdicts[min(c[3], c[3] ^ full)]
-                                for c in combos]
-                    statuses = [v[2] for v in verdicts]
-                    judged[rep1, rep2] = (
-                        verdicts, [v[4] for v in verdicts],
-                        (statuses.count(STATUS_PASS),
-                         statuses.count(STATUS_EXCEPTION),
-                         statuses.count(STATUS_FAIL),
-                         sum(v[1] < ctx.mn for v in verdicts)))
-                continue
-            verdicts, suffixes, tally = reps
-            # pick(xs) lists xs at the representative's index of each combo.
-            # It depends only on the two relabellings, so pairs share it; its
-            # indices come from positions, so cached getters add no ints.
-            pick = picks.get((f_offsets, g_offsets))
-            if pick is None:
-                pick = picks[f_offsets, g_offsets] = itemgetter(*[
-                    positions[f + g + x]
-                    for f in f_offsets for g in g_offsets for x in range(k)])
-            if out is not None:
-                # each row is the pair's prefix, the combo text and the
-                # representative's verdict text, which ends the row
-                prefix = _row_prefix(m, n, b1_text, b2_text, False, True)
-                out.write(prefix + prefix.join(
-                    map(add, texts, pick(suffixes))))
-            result.total += len(combos)
-            result.n_pass += tally[0]
-            result.n_exception += tally[1]
-            result.n_fail += tally[2]
-            result.below_mn += tally[3]
-            if sink is not None:
-                for (finals_left, finals_right, op, _, _), verdict in zip(
-                        combos, pick(verdicts)):
-                    predicted, oracle, status = verdict[:3]
-                    sink(VerificationRecord(
-                        m, n, b1_text, b2_text, False, True, finals_left,
-                        finals_right, op, predicted, oracle, status))
+                    judged[rep1, rep2] = entry
+            else:
+                head = (m, n, b1_text, b2_text, False, True)
+                # pick(xs) lists xs at the representative's index of each
+                # combo; pairs with the same relabellings share it, and its
+                # indices come from positions, so cached getters add no ints.
+                pick = picks.get((f_offsets, g_offsets))
+                if pick is None:
+                    pick = picks[f_offsets, g_offsets] = itemgetter(*[
+                        positions[f + g + x]
+                        for f in f_offsets for g in g_offsets
+                        for x in range(k)])
+            _emit(head, combos, entry, pick, result, sink, out)
 
 
 def _splitmix64(seed: int, index: int) -> int:
@@ -552,8 +545,10 @@ def sample_instances(
     return verify_theorem1(config, sink, out)
 
 
-def _sampled_instances(config: CampaignConfig):
-    """Each sample's context with its (F, F', op) combo."""
+def _sample(config: CampaignConfig, result: CampaignResult,
+            sink: Optional[Callable[[VerificationRecord], None]],
+            out: Optional[TextIO]) -> None:
+    """Sampled mode: each sample is a basis pair judged on one combo."""
     m, n = config.m, config.n
     ops = config.resolved_ops()
     for i in range(config.sample_count):
@@ -567,10 +562,10 @@ def _sampled_instances(config: CampaignConfig):
         fmask = rng.randrange(1, (1 << m) - 1)
         gmask = rng.randrange(1, (1 << n) - 1)
         op = ops[rng.randrange(len(ops))]
-        finals_left = tuple(a for a in range(m) if fmask >> a & 1)
-        finals_right = tuple(b for b in range(n) if gmask >> b & 1)
-        yield _PairContext(b1, b2), _combo(finals_left, finals_right, op,
-                                           m, n)
+        ctx = _PairContext(b1, b2)
+        combos = _combos(m, n, [(_finals(fmask, m), _finals(gmask, n), op)])
+        _emit(ctx.head, combos, _Judged(ctx, combos[0]), None, result, sink,
+              out)
 
 
 @dataclass

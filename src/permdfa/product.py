@@ -22,7 +22,7 @@ from .perm import Basis, bases_conjugate
 class ProductAutomaton(Semiautomaton):
     """Componentwise product of two semiautomata over the same alphabet."""
 
-    __slots__ = ("left", "right", "left_count", "right_count")
+    __slots__ = ("left_count", "right_count")
 
     def __init__(self, left: Semiautomaton, right: Semiautomaton):
         if left.alphabet != right.alphabet:
@@ -42,8 +42,6 @@ class ProductAutomaton(Semiautomaton):
                     k += 1
             actions[letter] = act
         super().__init__(m * n, left.alphabet, actions, left.initial * n + right.initial)
-        self.left = left
-        self.right = right
         self.left_count = m
         self.right_count = n
 

@@ -61,7 +61,7 @@ def _reproduce_example_1() -> str:
                  + (format_cycles(r12) if r12 is not None else "none"))
     lines.append("conjugator b1 -> b3: "
                  + (format_cycles(r13) if r13 is not None else "none"))
-    orders = [len(transition_semigroup(from_basis(b)).elements)
+    orders = [len(transition_semigroup(from_basis(b)))
               for b in (b1, b2, b3)]
     lines.append("transition semigroup orders: b1: {}  b2: {}  b3: {}".format(
         *orders))

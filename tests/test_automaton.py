@@ -139,13 +139,13 @@ class TestReachability:
 class TestTransitionSemigroup:
     def test_symmetric_group(self):
         sg = transition_semigroup(from_basis(B3))
-        assert len(sg) == 6
-        assert sg.is_group()
+        assert isinstance(sg, frozenset) and len(sg) == 6
+        assert all(sorted(t) == [0, 1, 2] for t in sg)
 
     def test_non_group(self):
         a = Semiautomaton(2, ("a", "b"), {"a": (0, 0), "b": (1, 0)})
         sg = transition_semigroup(a)
-        assert not sg.is_group()
+        assert (0, 0) in sg
         # all four self-maps of a two point set arise here
         assert len(sg) == 4
 
@@ -260,6 +260,11 @@ final 1
             parse_automaton_text("states 2\nalphabet a\ninitial 0\n")
         with pytest.raises(AutomatonFormatError):
             parse_automaton_text("")
+        # initial has no default
+        with pytest.raises(AutomatonFormatError, match="missing initial line"):
+            parse_automaton_text(
+                "states 3\nalphabet a b\ntrans a (0,1,2)\ntrans b (0,1)\n"
+                "final 0 1\n")
 
     def test_format_requires_permutations(self):
         a = Semiautomaton(2, ("a",), {"a": (0, 0)})

@@ -291,13 +291,21 @@ class TestComplementMemo:
         monkeypatch.setattr(harness, "enumerate_bases", pairs.__getitem__)
         return CampaignConfig(3, 4)
 
-    def test_table_filling_disagreement_aborts(self, one_pair, monkeypatch):
+    @pytest.fixture
+    def sampled(self):
+        # sampled 3x4 whose first shortfall is sample 33
+        return CampaignConfig(3, 4, mode="sample", sample_count=100, seed=2)
+
+    @pytest.mark.parametrize("campaign", ["one_pair", "sampled"])
+    def test_table_filling_disagreement_aborts(self, campaign, request,
+                                               monkeypatch):
+        config = request.getfixturevalue(campaign)
         real = harness.distinguishability_complexity
         monkeypatch.setattr(harness, "distinguishability_complexity",
                             lambda d: real(d) - 1)
         buf = io.StringIO()
         with pytest.raises(TwoPathDisagreement) as info:
-            verify_theorem1(one_pair, out=buf)
+            verify_theorem1(config, out=buf)
         row = info.value.row.split("\t")
         assert int(row[10]) < 12 and row[11] == "FAIL"
         assert buf.getvalue().splitlines()[-1] == info.value.row
@@ -307,12 +315,14 @@ class TestComplementMemo:
         assert str(info.value).startswith(
             f"Moore {moore} vs table-filling {moore - 1} on instance: ")
 
-    def test_prediction_disagreement_names_routes(self, one_pair,
+    @pytest.mark.parametrize("campaign", ["one_pair", "sampled"])
+    def test_prediction_disagreement_names_routes(self, campaign, request,
                                                   monkeypatch):
+        config = request.getfixturevalue(campaign)
         monkeypatch.setattr(harness, "all_distinguished",
                             lambda components, flat: False)
         with pytest.raises(TwoPathDisagreement) as info:
-            verify_theorem1(one_pair)
+            verify_theorem1(config)
         row = info.value.row.split("\t")
         assert row[9:] == ["false", "12", "FAIL"]
         assert (info.value.moore, info.value.table_filling) == (12, None)
@@ -470,7 +480,10 @@ class TestOrbitReduction:
         # 27 representative pairs, 21 masks up to complement each
         assert calls == {"moore_complexity": 567, "pair_graph": 27}
 
-    def test_sink_sees_every_row(self):
+    # 3x3 covers the sink records of conjugate pairs
+    @pytest.mark.parametrize("m,n,op,total", [
+        (3, 4, "xor", 326592), (3, 3, "and", 11664)])
+    def test_sink_sees_every_row(self, m, n, op, total):
         report, from_sink = _DigestStream(), _DigestStream()
         from_sink.write(REPORT_HEADER + "\n")
         count = 0
@@ -480,11 +493,26 @@ class TestOrbitReduction:
             count += 1
             from_sink.write(record.tsv_row() + "\n")
 
-        res = verify_theorem1(
-            CampaignConfig(3, 4, ops=(BoolFn.by_name("xor"),)),
-            sink=sink, out=report)
-        assert count == res.total == 326592
+        res = verify_theorem1(CampaignConfig(m, n, ops=(BoolFn.by_name(op),)),
+                              sink=sink, out=report)
+        assert count == res.total == total
         assert from_sink.sha.hexdigest() == report.sha.hexdigest()
+
+    def test_no_records_without_sink(self, monkeypatch):
+        # with no sink and no FAIL, no row is turned into a record
+        built = 0
+        real = harness.VerificationRecord
+
+        def counting(*args):
+            nonlocal built
+            built += 1
+            return real(*args)
+
+        monkeypatch.setattr(harness, "VerificationRecord", counting)
+        res = verify_theorem1(CampaignConfig(
+            3, 4, ops=(BoolFn.by_name("xor"), BoolFn.by_name("xnor"))))
+        assert res.total == 653184 and res.ok
+        assert built == 0
 
 
 class TestSampling:

@@ -153,7 +153,7 @@ def generated_group(gens):
     letters = [f"g{i}" for i in range(len(gens))]
     a = Semiautomaton(gens[0].degree, letters,
                       {x: g.image for x, g in zip(letters, gens)})
-    return transition_semigroup(a).elements
+    return transition_semigroup(a)
 
 
 class TestGroupClosure:
