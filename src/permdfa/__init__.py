@@ -14,10 +14,8 @@ from .automaton import (
     accepts,
     distinguishability_complexity,
     equivalence_classes,
-    format_automaton_text,
     from_basis,
     is_connected,
-    is_strongly_connected,
     minimize,
     parse_automaton_text,
     reachable_states,
@@ -110,7 +108,6 @@ __all__ = [
     "equivalence_classes",
     "evaluate_instance",
     "flat_final_set",
-    "format_automaton_text",
     "format_cycles",
     "format_pair_graph",
     "from_basis",
@@ -118,7 +115,6 @@ __all__ = [
     "has_distinguishing_pair",
     "is_connected",
     "is_proper",
-    "is_strongly_connected",
     "minimize",
     "pair_graph",
     "parse_automaton_text",

@@ -10,7 +10,21 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .errors import AutomatonFormatError, CycleFormatError, NotAPermutationError
-from .perm import Perm, _closure_images, _point_orbit, format_cycles, parse_cycles
+from .perm import _closure_images, _point_orbit, parse_cycles
+
+
+def _checked_letters(alphabet: Sequence[str]) -> tuple[str, ...]:
+    """The alphabet as a tuple, after checking that its letters are nonempty,
+    distinct and free of whitespace and '#'."""
+    letters = tuple(alphabet)
+    if not letters:
+        raise ValueError("alphabet must not be empty")
+    if len(set(letters)) != len(letters):
+        raise ValueError("alphabet letters must be distinct")
+    for letter in letters:
+        if not letter or any(c.isspace() for c in letter) or "#" in letter:
+            raise ValueError(f"bad letter {letter!r}")
+    return letters
 
 
 class Semiautomaton:
@@ -28,14 +42,7 @@ class Semiautomaton:
     ):
         if state_count < 1:
             raise ValueError("need at least one state")
-        letters = tuple(alphabet)
-        if not letters:
-            raise ValueError("alphabet must not be empty")
-        if len(set(letters)) != len(letters):
-            raise ValueError("alphabet letters must be distinct")
-        for letter in letters:
-            if not letter or any(c.isspace() for c in letter) or "#" in letter:
-                raise ValueError(f"bad letter {letter!r}")
+        letters = _checked_letters(alphabet)
         if set(actions) != set(letters):
             raise ValueError("actions must cover exactly the alphabet")
         fixed: dict[str, tuple[int, ...]] = {}
@@ -53,6 +60,18 @@ class Semiautomaton:
         self.alphabet = letters
         self.actions = fixed
         self.initial = initial
+
+    @classmethod
+    def _trusted(cls, state_count: int, alphabet: tuple[str, ...],
+                 actions: dict[str, tuple[int, ...]], initial: int):
+        """A semiautomaton from checked letters and image tuples already
+        known to map the states into themselves, unchecked."""
+        out = object.__new__(cls)
+        out.state_count = state_count
+        out.alphabet = alphabet
+        out.actions = actions
+        out.initial = initial
+        return out
 
     def step(self, state: int, letter: str) -> int:
         try:
@@ -90,11 +109,17 @@ class DFA(Semiautomaton):
 
 
 def from_basis(basis, alphabet: Sequence[str] = ("a", "b"), initial: int = 0) -> Semiautomaton:
-    """The semiautomaton whose first letter acts as s and second as t."""
-    letters = tuple(alphabet)
+    """The semiautomaton whose first letter acts as s and second as t.
+
+    The basis's images are already checked permutations of its degree, so
+    only the letters and the initial state are checked here.
+    """
+    letters = _checked_letters(alphabet)
     if len(letters) != 2:
         raise ValueError("a basis automaton has exactly two letters")
-    return Semiautomaton(
+    if not 0 <= initial < basis.degree:
+        raise ValueError(f"initial state {initial} out of range")
+    return Semiautomaton._trusted(
         basis.degree,
         letters,
         {letters[0]: basis.s.image, letters[1]: basis.t.image},
@@ -125,13 +150,6 @@ def reachable_states(a: Semiautomaton) -> tuple[int, ...]:
 
 def is_connected(a: Semiautomaton) -> bool:
     return len(reachable_states(a)) == a.state_count
-
-
-def is_strongly_connected(a: Semiautomaton) -> bool:
-    """Whether every state can reach every other state."""
-    n = a.state_count
-    acts = [a.actions[letter] for letter in a.alphabet]
-    return all(_point_orbit(acts, start, n).count(1) == n for start in range(n))
 
 
 def transition_semigroup(a: Semiautomaton) -> frozenset[tuple[int, ...]]:
@@ -398,14 +416,3 @@ def parse_automaton_text(text: str) -> Semiautomaton | DFA:
         return DFA(states, alphabet, trans, initial, finals)
     return Semiautomaton(states, alphabet, trans, initial)
 
-
-def format_automaton_text(a: Semiautomaton) -> str:
-    """Serialize back to the text format; letter actions must be permutations."""
-    a.require_permutations()
-    lines = [f"states {a.state_count}", "alphabet " + " ".join(a.alphabet)]
-    for letter in a.alphabet:
-        lines.append(f"trans {letter} {format_cycles(Perm(a.actions[letter]))}")
-    lines.append(f"initial {a.initial}")
-    if isinstance(a, DFA):
-        lines.append("final" + "".join(f" {q}" for q in sorted(a.finals)))
-    return "\n".join(lines) + "\n"

@@ -48,6 +48,14 @@ class Perm:
         self.image = img
 
     @classmethod
+    def _trusted(cls, image: tuple[int, ...]) -> "Perm":
+        """A permutation from an image tuple already known to be a bijection,
+        unchecked."""
+        out = object.__new__(cls)
+        out.image = image
+        return out
+
+    @classmethod
     def identity(cls, degree: int) -> "Perm":
         return cls(range(degree))
 
@@ -122,7 +130,7 @@ def conjugate(r: Perm, g: Perm) -> Perm:
     out = [0] * len(ri)
     for i in range(len(ri)):
         out[ri[i]] = ri[gi[i]]
-    return Perm(out)
+    return Perm._trusted(tuple(out))
 
 
 _CYCLE_TOKEN = re.compile(r"\d+|id|[(),]|\S")

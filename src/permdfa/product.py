@@ -20,7 +20,11 @@ from .perm import Basis, bases_conjugate
 
 
 class ProductAutomaton(Semiautomaton):
-    """Componentwise product of two semiautomata over the same alphabet."""
+    """Componentwise product of two semiautomata over the same alphabet.
+
+    Both factors were checked when they were built, so the product's letter
+    actions, which map (i, j) to (left(i), right(j)), are not checked again.
+    """
 
     __slots__ = ("left_count", "right_count")
 
@@ -30,18 +34,13 @@ class ProductAutomaton(Semiautomaton):
                 f"alphabets differ: {left.alphabet!r} vs {right.alphabet!r}"
             )
         m, n = left.state_count, right.state_count
-        actions = {}
-        for letter in left.alphabet:
-            la, ra = left.actions[letter], right.actions[letter]
-            act = [0] * (m * n)
-            k = 0
-            for i in range(m):
-                base = la[i] * n
-                for j in range(n):
-                    act[k] = base + ra[j]
-                    k += 1
-            actions[letter] = act
-        super().__init__(m * n, left.alphabet, actions, left.initial * n + right.initial)
+        self.state_count = m * n
+        self.alphabet = left.alphabet
+        self.actions = {
+            letter: tuple([x * n + y for x in left.actions[letter]
+                           for y in right.actions[letter]])
+            for letter in left.alphabet}
+        self.initial = left.initial * n + right.initial
         self.left_count = m
         self.right_count = n
 

@@ -4,14 +4,19 @@ import bisect
 import collections
 import hashlib
 import io
+import marshal
+import os
 import random
+import sys
+import threading
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 from permdfa import Basis, BoolFn, CapExceededError, TwoPathDisagreement
-from permdfa import Perm, bases_conjugate, conjugate, harness
+from permdfa import Perm, automaton, bases_conjugate, conjugate, harness
+from permdfa import direct_product, from_basis
 from permdfa.perm import conjugation_orbits
 from permdfa.automaton import finals_to_mask
 from permdfa.harness import (
@@ -30,6 +35,59 @@ from permdfa.harness import (
 from permdfa.product import flat_final_mask
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """A function that makes sampled campaigns cut their samples into one
+    range per given CPU, however short, and returns the list of the pids
+    forked from then on. At the end no child process may be left."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def set_cpus(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        forks.clear()
+        return forks
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(harness, "_MIN_SAMPLE_RANGE", 1)
+    yield set_cpus
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _force_counts(monkeypatch, b1, b2, oracle, reachable=None):
+    """Make both minimizers count oracle states, and reachable_states return
+    reachable(its true result) when reachable is given, on the product of
+    b1 and b2 alone."""
+    target = list(direct_product(from_basis(b1), from_basis(b2))
+                  .actions.values())
+
+    def hit(a):
+        return [a.actions[letter] for letter in a.alphabet] == target
+
+    monkeypatch.setattr(
+        harness, "moore_complexity",
+        lambda actions, *rest: oracle if list(actions) == target
+        else automaton.moore_complexity(actions, *rest))
+    monkeypatch.setattr(
+        harness, "distinguishability_complexity",
+        lambda d: oracle if hit(d)
+        else automaton.distinguishability_complexity(d))
+    if reachable is not None:
+        def reachable_states(a):
+            states = automaton.reachable_states(a)
+            return reachable(states) if hit(a) else states
+
+        monkeypatch.setattr(harness, "reachable_states", reachable_states)
 
 
 class TestEnumerateBases:
@@ -189,6 +247,56 @@ class TestConjugateJudging:
         assert rec.conjugate
         assert rec.oracle <= 3
         assert rec.status == "PASS"
+
+    # Both minimizers are made to agree on a count, so that only the
+    # conjugate judge stands between it and a PASS.
+    @pytest.mark.parametrize("b1,b2,bound", [
+        ("(0,1,2);(0,1)", "(0,2,1);(0,2)", 3),  # conjugator fixes 0: n
+        ("(1,2);(0,1)", "(0,1);(1,2)", 6),  # conjugator moves 0: n(n-1)
+    ])
+    def test_count_above_bound_fails(self, monkeypatch, b1, b2, bound):
+        b1, b2 = Basis.parse(b1, 3), Basis.parse(b2, 3)
+        op = BoolFn.by_name("and")
+        for oracle, status in [(bound, "PASS"), (bound + 1, "FAIL")]:
+            _force_counts(monkeypatch, b1, b2, oracle)
+            rec = evaluate_instance(b1, b2, [0], [0], op)
+            assert (rec.oracle, rec.status) == (oracle, status)
+
+    def test_wrong_reachable_shape_fails(self, monkeypatch):
+        b1 = Basis.parse("(0,1,2);(0,1)", 3)
+        b2 = Basis.parse("(0,2,1);(0,2)", 3)
+        op = BoolFn.by_name("and")
+        _force_counts(monkeypatch, b1, b2, 1)
+        assert evaluate_instance(b1, b2, [0], [0], op).status == "PASS"
+        # the graph of the conjugator less one state
+        _force_counts(monkeypatch, b1, b2, 1, lambda states: states[:-1])
+        rec = evaluate_instance(b1, b2, [0], [0], op)
+        assert (rec.oracle, rec.status) == (1, "FAIL")
+
+    def test_fail_in_a_forked_range_reaches_the_summary(self, split,
+                                                         monkeypatch):
+        config = CampaignConfig(5, 5, mode="sample", sample_count=200, seed=1)
+        records = []
+        verify_theorem1(config, sink=records.append)
+        # a conjugate sample in the second of two ranges
+        target = next(r for r in records[100:] if r.conjugate)
+        # above n(n-1) = 20 and below m*n = 25
+        _force_counts(monkeypatch, Basis.parse(target.b1, 5),
+                      Basis.parse(target.b2, 5), 24)
+        runs = []
+        for cpus in (1, 2):
+            forks = split(cpus)
+            buf = io.StringIO()
+            runs.append((verify_theorem1(config, out=buf), buf.getvalue(),
+                         len(forks)))
+        (serial, serial_report, _), (result, report, forks) = runs
+        assert forks == 1
+        assert (result, report) == (serial, serial_report)
+        assert result.n_fail == 1 and "fail=1" in result.summary()
+        fail = result.first_fail
+        assert (fail.b1, fail.b2, fail.oracle, fail.status) == (
+            target.b1, target.b2, 24, "FAIL")
+        assert fail.tsv_row() in report.splitlines()
 
 
 class TestPinnedInstances:
@@ -568,6 +676,162 @@ class TestSampling:
         lines = path.read_text().splitlines()
         assert lines[0] == REPORT_HEADER
         assert len(lines) == res.total + 1
+
+
+@lru_cache(maxsize=None)
+def _one_range_campaign(config):
+    """(report, result) of config judged in one range, which a sink
+    forces."""
+    buf = io.StringIO()
+    result = verify_theorem1(config, sink=lambda record: None, out=buf)
+    return buf.getvalue(), result
+
+
+class TestSplitSamples:
+    """A sampled campaign cut into ranges that forked children judge gives
+    the report, result and exceptions of judging every sample in one
+    process."""
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("m,n,count,seed,sha256", [
+        # the pinned sampled reports of tests/test_cli.py
+        (5, 5, 1000, 1, "f881ff7136c3fb512558ea9c83db3f88"
+                        "57c2acacf2ba5de3c1575256b1730c74"),
+        (7, 7, 50, 42, "b5c1393367b35fcbae39003a911c963f"
+                       "7e271c03a3d383bcf8c5fde49c869577"),
+        (10, 10, 100, 42, "b4395b296ea6a044741d41acfe384988"
+                          "e0a6de1d304f70b50caf5fb3bb4e7458"),
+        # conjugate_attained from ranges that differ: a conjugate sample's
+        # oracle reaches n only at sample 18 (seed 8) or only before
+        # sample 15 (seed 3); at 12 samples, 7 is the one conjugate sample
+        (4, 4, 24, 8, None),
+        (4, 4, 24, 3, None),
+        (4, 4, 12, 8, None),
+    ], ids=["5x5", "7x7", "10x10", "4x4-seed8", "4x4-seed3", "4x4-short"])
+    def test_split_equals_serial(self, split, m, n, count, seed, sha256,
+                                 cpus):
+        config = CampaignConfig(m, n, mode="sample", sample_count=count,
+                                seed=seed)
+        report, result = _one_range_campaign(config)
+        if sha256 is not None:
+            assert hashlib.sha256(report.encode("ascii")).hexdigest() == sha256
+        forks = split(cpus)
+        buf = io.StringIO()
+        assert verify_theorem1(config, out=buf) == result
+        assert buf.getvalue() == report
+        assert len(forks) == cpus - 1
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_disagreement(self, split, monkeypatch, cpus):
+        # 3x4 seed 2: the first shortfall, sample 33, is in this process's
+        # range for two CPUs and opens the second range for three
+        config = CampaignConfig(3, 4, mode="sample", sample_count=100, seed=2)
+        real = harness.distinguishability_complexity
+        monkeypatch.setattr(harness, "distinguishability_complexity",
+                            lambda d: real(d) - 1)
+        runs = []
+        for c in (1, cpus):
+            forks = split(c)
+            buf = io.StringIO()
+            with pytest.raises(TwoPathDisagreement) as info:
+                verify_theorem1(config, out=buf)
+            exc = info.value
+            runs.append((buf.getvalue(), exc.row, exc.moore,
+                         exc.table_filling, str(exc)))
+        assert len(forks) == cpus - 1
+        assert runs[1] == runs[0]
+        assert len(runs[0][0].splitlines()) == 35  # header, samples 0..33
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_first_fail_is_the_earliest(self, split, monkeypatch, cpus):
+        # With no degree pair excused, each shortfall of 3x4 seed 2 is a
+        # FAIL: samples 33, 42, 55 and 70, so every range after the first
+        # has one.
+        monkeypatch.setattr(harness, "EXCEPTION_DEGREES", frozenset())
+        config = CampaignConfig(3, 4, mode="sample", sample_count=100, seed=2)
+        records = []
+        serial = verify_theorem1(config, sink=records.append)  # one range
+        assert serial.n_fail == 4 and serial.first_fail == records[33]
+        forks = split(cpus)
+        assert verify_theorem1(config) == serial
+        assert len(forks) == cpus - 1
+
+    def test_sink_gets_every_record_in_order(self, split):
+        forks = split(3)
+        config = CampaignConfig(5, 5, mode="sample", sample_count=64, seed=1)
+        records = []
+        buf = io.StringIO()
+        verify_theorem1(config, sink=records.append, out=buf)
+        assert forks == []
+        assert ([REPORT_HEADER] + [r.tsv_row() for r in records]
+                == buf.getvalue().splitlines())
+        assert len(records) == 64
+
+    def test_no_fork_beside_other_threads(self, split):
+        forks = split(3)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            buf = io.StringIO()
+            verify_theorem1(CampaignConfig(3, 3, mode="sample",
+                                           sample_count=40, seed=9), out=buf)
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert forks == []
+        assert len(buf.getvalue().splitlines()) == 41
+
+    def test_interrupt_kills_and_reaps_children(self, split, monkeypatch):
+        forks = split(3)
+        parent = os.getpid()
+        real = harness._PairContext
+
+        def interrupted(b1, b2):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return real(b1, b2)
+
+        monkeypatch.setattr(harness, "_PairContext", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            verify_theorem1(CampaignConfig(5, 5, mode="sample",
+                                           sample_count=300, seed=1))
+        assert len(forks) == 2
+
+    def test_failed_child_raises(self, split, monkeypatch):
+        split(2)
+        parent = os.getpid()
+        real = harness._PairContext
+
+        def broken(b1, b2):
+            if os.getpid() != parent:
+                raise ValueError("broken in a child")
+            return real(b1, b2)
+
+        monkeypatch.setattr(harness, "_PairContext", broken)
+        # keep the child's traceback off stderr
+        monkeypatch.setattr(sys, "excepthook", lambda *exc_info: None)
+        with pytest.raises(RuntimeError, match=r"samples 10 to 19 failed"
+                                               r" \(exit code 1\)"):
+            verify_theorem1(CampaignConfig(3, 3, mode="sample",
+                                           sample_count=20, seed=1))
+
+    def test_short_payload_raises(self, split, monkeypatch):
+        split(2)
+
+        class Truncating:
+            loads = staticmethod(marshal.loads)
+
+            @staticmethod
+            def dumps(value):
+                return marshal.dumps(value)[:-1]
+
+        monkeypatch.setattr(harness, "marshal", Truncating)
+        with pytest.raises(RuntimeError, match="samples 10 to 19 sent a"
+                                               " short payload"):
+            verify_theorem1(CampaignConfig(3, 3, mode="sample",
+                                           sample_count=20, seed=1))
 
 
 class TestConnectivityCheck:

@@ -65,6 +65,16 @@ class TestDirectProduct:
         assert p.actions["a"][p.flat(0, 0)] == p.flat(0, 1)
         assert p.actions["b"][p.flat(1, 2)] == p.flat(0, 2)
 
+    def test_actions_equal_checked_construction(self):
+        # the product's actions are built unchecked from checked factors
+        p = product_23()
+        left, right = from_basis(B2).actions, from_basis(B3).actions
+        expected = {letter: tuple(p.flat(left[letter][i], right[letter][j])
+                                  for i in range(2) for j in range(3))
+                    for letter in ("a", "b")}
+        assert p.actions == expected
+        assert Semiautomaton(6, p.alphabet, p.actions).actions == expected
+
     def test_alphabet_mismatch(self):
         left = from_basis(B2)
         right = from_basis(B3, alphabet=("x", "y"))

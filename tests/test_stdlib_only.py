@@ -2,6 +2,7 @@
 every public name is load-bearing."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,9 +15,7 @@ OUTSIDE_USE = {
     "accepts": "the language semantics that tests compare products against",
     "equivalence_classes": "the Nerode classes, which the property tests check",
     "evaluate_instance": "the unreduced reference for orbit-reduced campaigns",
-    "format_automaton_text": "the inverse of parse_automaton_text, for round trips",
     "generates_symmetric": "the generation test on Perms, checked against sympy",
-    "is_strongly_connected": "the law that it equals is_connected on permutation automata",
     "predict_minimal": "the library form of the prediction the campaigns compute",
     "sample_instances": "the sampled campaign without the verify_theorem1 dispatch",
     "verify_theorem2": "the connectivity sweep the acceptance tests run",
@@ -59,6 +58,23 @@ def test_runtime_is_stdlib_only():
         if root not in allowed
     ]
     assert not bad, bad
+
+
+def test_import_loads_no_worker_modules():
+    # Sampled campaigns fork with os alone; these modules would add to every
+    # start-up and to peak memory. -S keeps site-packages hooks, which may
+    # import threading themselves, out of the picture.
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SRC.parent)!r})\n"
+        "import permdfa, permdfa.cli\n"
+        "print(' '.join(sorted(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert "permdfa.harness" in out
+    worker = ("multiprocessing", "concurrent", "pickle", "subprocess",
+              "threading")
+    assert [m for m in out if m.split(".")[0] in worker] == []
 
 
 def test_public_names_are_load_bearing():
