@@ -90,7 +90,7 @@ class DFA(Semiautomaton):
     """A semiautomaton plus a set of final states.
 
     Empty and full final sets are allowed; they make the language trivial
-    (complexity 1) and are reported as improper by proper_finals.
+    (complexity 1).
     """
 
     __slots__ = ("finals",)
@@ -102,10 +102,6 @@ class DFA(Semiautomaton):
             if not isinstance(q, int) or not 0 <= q < state_count:
                 raise ValueError(f"final state {q!r} out of range")
         self.finals = fset
-
-    @property
-    def proper_finals(self) -> bool:
-        return 0 < len(self.finals) < self.state_count
 
 
 def from_basis(basis, alphabet: Sequence[str] = ("a", "b"), initial: int = 0) -> Semiautomaton:
@@ -239,6 +235,21 @@ def finals_to_mask(finals: Iterable[int] | int) -> int:
     return mask
 
 
+def mask_states(mask: int, count: int) -> tuple[int, ...]:
+    """The states 0..count-1 whose bits are set in mask, ascending."""
+    return tuple(q for q in range(count) if mask >> q & 1)
+
+
+def _moore(d: DFA):
+    """d's reachable states, letter actions, finals mask, Moore classes and
+    class count."""
+    reach = reachable_states(d)
+    acts = [d.actions[letter] for letter in d.alphabet]
+    mask = finals_to_mask(d.finals)
+    cls = moore_classes(acts, reach, mask, d.state_count)
+    return reach, acts, mask, cls, max(cls[q] for q in reach) + 1
+
+
 def minimize(d: DFA) -> tuple[DFA, int]:
     """The minimal DFA of d's language and its state complexity.
 
@@ -246,11 +257,7 @@ def minimize(d: DFA) -> tuple[DFA, int]:
     equivalent ones. Classes are renumbered by smallest original state,
     ascending.
     """
-    reach = reachable_states(d)
-    acts = [d.actions[letter] for letter in d.alphabet]
-    mask = finals_to_mask(d.finals)
-    cls = moore_classes(acts, reach, mask, d.state_count)
-    k = max(cls[q] for q in reach) + 1
+    reach, acts, mask, cls, k = _moore(d)
     reps = [-1] * k
     for q in reach:
         if reps[cls[q]] < 0:
@@ -267,10 +274,7 @@ def minimize(d: DFA) -> tuple[DFA, int]:
 def equivalence_classes(d: DFA) -> tuple[tuple[int, ...], ...]:
     """The partition of reachable states into language-equivalence classes,
     ordered by smallest member."""
-    reach = reachable_states(d)
-    acts = [d.actions[letter] for letter in d.alphabet]
-    cls = moore_classes(acts, reach, finals_to_mask(d.finals), d.state_count)
-    k = max(cls[q] for q in reach) + 1
+    reach, _, _, cls, k = _moore(d)
     groups: list[list[int]] = [[] for _ in range(k)]
     for q in reach:
         groups[cls[q]].append(q)

@@ -73,9 +73,6 @@ class BoolFn:
     def bits(self) -> str:
         return format(self.table, "04b")
 
-    def complement(self) -> "BoolFn":
-        return BoolFn.by_table(self.table ^ 0b1111)
-
     def label(self) -> str:
         return self.name if self.name is not None else self.bits()
 

@@ -8,7 +8,7 @@ import argparse
 import sys
 
 from .automaton import DFA, minimize, parse_automaton_text
-from .boolops import BoolFn, is_proper
+from .boolops import BoolFn
 from .errors import CapExceededError, TwoPathDisagreement
 from .harness import CampaignConfig, REPRODUCE_IDS, reproduce, verify_theorem1
 from .perm import Basis, bases_conjugate, format_cycles
@@ -91,9 +91,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_automaton(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return parse_automaton_text(fh.read())
+def _load_automata(args, purpose=None):
+    """The --left and --right automata; when purpose is given, both must be
+    DFAs, and the message names the purpose their finals serve."""
+    automata = []
+    for path in (args.left, args.right):
+        with open(path, encoding="utf-8") as fh:
+            automata.append(parse_automaton_text(fh.read()))
+    for path, a in zip((args.left, args.right), automata):
+        if purpose is not None and not isinstance(a, DFA):
+            raise ValueError(f"{path}: no final line, cannot {purpose}")
+    return automata
 
 
 def _cmd_conjugate_bases(args) -> int:
@@ -105,11 +113,7 @@ def _cmd_conjugate_bases(args) -> int:
 
 
 def _cmd_complexity(args) -> int:
-    left = _load_automaton(args.left)
-    right = _load_automaton(args.right)
-    for path, a in ((args.left, left), (args.right, right)):
-        if not isinstance(a, DFA):
-            raise ValueError(f"{path}: no final line, cannot combine")
+    left, right = _load_automata(args, "combine")
     op = BoolFn.parse(args.op)
     _, complexity = minimize(product_dfa(left, right, op))
     print(complexity)
@@ -117,40 +121,24 @@ def _cmd_complexity(args) -> int:
 
 
 def _cmd_pairgraph(args) -> int:
-    left = _load_automaton(args.left)
-    right = _load_automaton(args.right)
+    left, right = _load_automata(
+        args, None if args.op is None else "apply an operation")
     prod = direct_product(left, right)
     finals = None
     if args.op is not None:
-        for path, a in ((args.left, left), (args.right, right)):
-            if not isinstance(a, DFA):
-                raise ValueError(
-                    f"{path}: no final line, cannot apply an operation")
-        op = BoolFn.parse(args.op)
-        finals = flat_final_set(op, left.finals, left.state_count,
-                                right.finals, right.state_count)
-    sys.stdout.write(format_pair_graph(prod, finals=finals))
+        finals = flat_final_set(BoolFn.parse(args.op), left.finals,
+                                left.state_count, right.finals,
+                                right.state_count)
+    sys.stdout.write(format_pair_graph(prod, finals))
     return 0
 
 
 def _parse_ops(text):
-    ops = []
-    seen = set()
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        f = BoolFn.parse(piece)
-        if not is_proper(f):
-            raise ValueError(
-                f"{piece!r} depends on at most one argument;"
-                " campaigns only cover proper operations")
-        if f.table not in seen:
-            seen.add(f.table)
-            ops.append(f)
+    ops = tuple(BoolFn.parse(piece.strip()) for piece in text.split(",")
+                if piece.strip())
     if not ops:
         raise ValueError("no operations given")
-    return tuple(ops)
+    return ops
 
 
 def _cmd_verify(args, parser) -> int:

@@ -9,9 +9,9 @@ aborts the whole campaign, because it would mean one of the routes is wrong.
 
 A campaign judges a basis pair on its combos, the (F, F', op) choices of
 its rows, into an entry (_Judged) that holds the verdicts and their tally,
-then emits the entry (_emit): the one place that writes rows, adds tallies
-to the CampaignResult, builds VerificationRecords and raises
-TwoPathDisagreement.  Complementing the product's finals changes neither
+then emits the entry (_emit): the one place that writes rows, builds
+VerificationRecords and raises TwoPathDisagreement; CampaignResult._add
+adds the tally.  Complementing the product's finals changes neither
 the Nerode partition nor which pair-graph components hold a distinguishing
 pair, so judging a pair judges each {mask, ~mask} once.
 
@@ -45,10 +45,11 @@ from .automaton import (
     finals_to_mask,
     from_basis,
     is_connected,
+    mask_states,
     moore_complexity,
     reachable_states,
 )
-from .boolops import BoolFn, proper_functions
+from .boolops import BoolFn, is_proper, proper_functions
 from .errors import CapExceededError, TwoPathDisagreement
 from .perm import (
     Basis,
@@ -59,6 +60,8 @@ from .perm import (
     generating_pairs,
 )
 from .product import (
+    _bool_text,
+    _states_text,
     all_distinguished,
     direct_product,
     flat_final_mask,
@@ -96,16 +99,12 @@ _MASK64 = (1 << 64) - 1
 # the time of about 16 samples at degree 5 and 40 at degrees 2 and 3.
 _MIN_SAMPLE_RANGE = 32
 
-# The CampaignResult counts that a child's range adds to the parent's.
+# The CampaignResult counts of a tally (a _Judged entry's, a child's range's).
 _TALLIES = ("total", "n_pass", "n_exception", "n_fail", "n_conjugate",
             "below_mn")
 
 # signal.SIGKILL; importing signal would add a millisecond to every start.
 _SIGKILL = 9
-
-
-def _bool_text(flag: bool) -> str:
-    return "true" if flag else "false"
 
 
 # A report row is the pair's prefix, the combo's text and the verdict; the
@@ -118,8 +117,8 @@ def _row_prefix(m: int, n: int, b1: str, b2: str, conjugate: bool,
 
 def _combo_text(finals_left: Sequence[int], finals_right: Sequence[int],
                 op: BoolFn) -> str:
-    return (",".join(map(str, finals_left)) + "\t"
-            + ",".join(map(str, finals_right)) + "\t" + op.label())
+    return (_states_text(finals_left) + "\t" + _states_text(finals_right)
+            + "\t" + op.label())
 
 
 def _verdict_text(predicted: bool, oracle: int, status: str) -> str:
@@ -147,16 +146,23 @@ class CampaignConfig:
     output: Optional[str] = None
 
     def __post_init__(self):
+        bad = [f.label() for f in self.ops if not is_proper(f)]
+        if bad:
+            raise ValueError(f"{bad[0]!r} depends on at most one argument;"
+                             " campaigns only cover proper operations")
         if self.m < 2 or self.n < 2:
             raise ValueError("component automata need at least 2 states")
         if self.mode not in ("exhaustive", "sample"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "sample" and self.sample_count < 1:
             raise ValueError("sampled mode needs a positive sample count")
+        if not 0 <= self.seed <= _MASK64:
+            raise ValueError(f"seed must be in 0..2^64-1, got {self.seed}")
 
     def resolved_ops(self) -> Tuple[BoolFn, ...]:
-        ops = self.ops or proper_functions()
-        return tuple(sorted(ops, key=lambda f: f.table))
+        # the first operation given for each table, by ascending table
+        first = {f.table: f for f in reversed(self.ops or proper_functions())}
+        return tuple(first[table] for table in sorted(first))
 
 
 @dataclass
@@ -196,6 +202,14 @@ class CampaignResult:
     @property
     def ok(self) -> bool:
         return self.n_fail == 0
+
+    def _add(self, tallies, attained: Optional[bool]) -> None:
+        """Add a tally; attained is None when it has no conjugate rows."""
+        counts = vars(self)
+        for name, value in zip(_TALLIES, tallies):
+            counts[name] += value
+        if attained is not None and self.conjugate_attained is not True:
+            self.conjugate_attained = attained
 
     def summary(self) -> str:
         return (
@@ -249,10 +263,6 @@ class _PairContext:
                      self.connected)
 
 
-def _finals(mask: int, k: int) -> Tuple[int, ...]:
-    return tuple(i for i in range(k) if mask >> i & 1)
-
-
 def _combos(m: int, n: int, choices):
     """A pair's combos for the given (F, F', op) choices, as two lists:
     each choice with its flat finals mask appended, and each choice's row
@@ -280,8 +290,7 @@ def _judge_mask(ctx: _PairContext, flat: int):
         disagree = (oracle, None)
     elif oracle < mn:
         p = ctx.product
-        finals = [q for q in range(mn) if flat >> q & 1]
-        dfa = DFA(mn, p.alphabet, p.actions, p.initial, finals)
+        dfa = DFA(mn, p.alphabet, p.actions, p.initial, mask_states(flat, mn))
         table_filling = distinguishability_complexity(dfa)
         if table_filling != oracle:
             disagree = (oracle, table_filling)
@@ -305,13 +314,12 @@ class _Judged:
     the verdicts (as _judge_mask gives them) in combo order, their verdict
     texts, and one tally of them.
 
-    The tally: the status counts, below_mn (non-conjugate rows below m*n),
-    reached_n (a conjugate pair's oracle reached n; None if not conjugate)
-    and disagree_at, the index of the disagreement that ends judging.
+    The tally: the counts in _TALLIES order, reached_n (a conjugate pair's
+    oracle reached n; None if not conjugate) and disagree_at, the index of
+    the disagreement that ends judging.
     """
 
-    __slots__ = ("verdicts", "texts", "n_pass", "n_exception", "n_fail",
-                 "below_mn", "reached_n", "disagree_at")
+    __slots__ = ("verdicts", "texts", "tally", "reached_n", "disagree_at")
 
     def __init__(self, ctx: _PairContext, choices):
         full = (1 << ctx.mn) - 1
@@ -327,12 +335,13 @@ class _Judged:
             if verdict[3]:
                 break
         _, oracles, statuses, _, self.texts = zip(*verdicts)
-        self.n_pass = statuses.count(STATUS_PASS)
-        self.n_exception = statuses.count(STATUS_EXCEPTION)
-        self.n_fail = statuses.count(STATUS_FAIL)
-        # no count exceeds m*n
-        self.below_mn = 0 if ctx.conjugate else (
-            len(oracles) - oracles.count(ctx.mn))
+        count = len(verdicts)
+        self.tally = (
+            count, statuses.count(STATUS_PASS),
+            statuses.count(STATUS_EXCEPTION), statuses.count(STATUS_FAIL),
+            count if ctx.conjugate else 0,
+            # below_mn counts non-conjugate rows; no count exceeds m*n
+            0 if ctx.conjugate else count - oracles.count(ctx.mn))
         self.reached_n = ctx.n in oracles if ctx.conjugate else None
         self.disagree_at = len(verdicts) - 1 if verdicts[-1][3] else None
 
@@ -355,19 +364,9 @@ def _emit(head, combos, entry: _Judged, pick: Optional[itemgetter],
         prefix = _row_prefix(*head)
         out.write(prefix + prefix.join(map(
             add, texts, entry.texts if pick is None else pick(entry.texts))))
-    count = len(entry.verdicts)
-    result.total += count
-    result.n_pass += entry.n_pass
-    result.n_exception += entry.n_exception
-    result.n_fail += entry.n_fail
-    result.below_mn += entry.below_mn
-    if head[4]:
-        result.n_conjugate += count
-        if entry.reached_n:
-            result.conjugate_attained = True
-        elif result.conjugate_attained is None:
-            result.conjugate_attained = False
-    if sink is None and not entry.n_fail:
+    result._add(entry.tally, entry.reached_n)
+    n_fail = entry.tally[3]
+    if sink is None and not n_fail:
         return
     verdicts = entry.verdicts if pick is None else pick(entry.verdicts)
 
@@ -375,9 +374,9 @@ def _emit(head, combos, entry: _Judged, pick: Optional[itemgetter],
         return VerificationRecord(*head, *choices[i][:3], *verdicts[i][:3])
 
     if sink is not None:
-        for i in range(count):
+        for i in range(len(verdicts)):
             sink(record(i))
-    if entry.n_fail and result.first_fail is None:
+    if n_fail and result.first_fail is None:
         result.first_fail = record([v[2] for v in verdicts].index(STATUS_FAIL))
     if entry.disagree_at is not None:
         at = entry.disagree_at
@@ -397,12 +396,19 @@ def evaluate_instance(
     gmask = finals_to_mask(finals_right)
     if not (0 < fmask < (1 << m) - 1) or not (0 < gmask < (1 << n) - 1):
         raise ValueError("final sets must be proper and nonempty")
-    ctx = _PairContext(b1, b2)
-    combos = _combos(m, n, [(_finals(fmask, m), _finals(gmask, n), op)])
     holder: List[VerificationRecord] = []
-    _emit(ctx.head, combos, _Judged(ctx, combos[0]), None,
-          CampaignResult(CampaignConfig(m, n)), holder.append, None)
+    _judge_one(b1, b2, fmask, gmask, op, CampaignResult(CampaignConfig(m, n)),
+               holder.append, None)
     return holder[0]
+
+
+def _judge_one(b1: Basis, b2: Basis, fmask: int, gmask: int, op: BoolFn,
+               result: CampaignResult, sink, out) -> None:
+    """Judge and emit one instance as a basis pair with one combo."""
+    ctx = _PairContext(b1, b2)
+    combos = _combos(ctx.m, ctx.n, [(mask_states(fmask, ctx.m),
+                                     mask_states(gmask, ctx.n), op)])
+    _emit(ctx.head, combos, _Judged(ctx, combos[0]), None, result, sink, out)
 
 
 def exhaustive_instance_count(config: CampaignConfig) -> int:
@@ -477,7 +483,7 @@ def _sweep(config: CampaignConfig, result: CampaignResult,
     """
     m, n = config.m, config.n
     ops = config.resolved_ops()
-    proper = [[_finals(mask, k) for mask in range(1, (1 << k) - 1)]
+    proper = [[mask_states(mask, k) for mask in range(1, (1 << k) - 1)]
               for k in (m, n)]
     # every basis pair of the sweep shares one table of combos
     combos = _combos(m, n, [(finals_left, finals_right, op)
@@ -618,11 +624,8 @@ def _sample_range(config: CampaignConfig, result: CampaignResult,
             b2 = _random_basis(rng, n)
         fmask = rng.randrange(1, (1 << m) - 1)
         gmask = rng.randrange(1, (1 << n) - 1)
-        op = ops[rng.randrange(len(ops))]
-        ctx = _PairContext(b1, b2)
-        combos = _combos(m, n, [(_finals(fmask, m), _finals(gmask, n), op)])
-        _emit(ctx.head, combos, _Judged(ctx, combos[0]), None, result, sink,
-              out)
+        _judge_one(b1, b2, fmask, gmask, ops[rng.randrange(len(ops))],
+                   result, sink, out)
 
 
 def _fork_range(config: CampaignConfig, children: dict, rows: bool,
@@ -698,10 +701,7 @@ def _merge_range(result: CampaignResult, out: Optional[TextIO],
     text, tallies, attained, fail, disagreement = payload
     if out is not None:
         out.write(text)
-    for name, value in zip(_TALLIES, tallies):
-        setattr(result, name, getattr(result, name) + value)
-    if attained is not None and result.conjugate_attained is not True:
-        result.conjugate_attained = attained
+    result._add(tallies, attained)
     if fail is not None and result.first_fail is None:
         result.first_fail = VerificationRecord(*fail[:8], BoolFn(*fail[8]),
                                                *fail[9:])

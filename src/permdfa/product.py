@@ -5,7 +5,8 @@ count; flat_final_mask is the one builder of product final sets, and
 all_distinguished the one pair-graph prediction, shared by predict_minimal,
 format_pair_graph and the campaigns. Everything here that walks the pair
 graph requires permutation letter actions and says so loudly when they are
-not.
+not. _bool_text, _states_text and _pair_text are the one text form of a
+boolean, a state set and a product-state pair in every report.
 """
 
 from __future__ import annotations
@@ -14,9 +15,24 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .automaton import DFA, Semiautomaton, finals_to_mask, is_connected
+from .automaton import DFA, Semiautomaton, finals_to_mask, is_connected, mask_states
 from .boolops import BoolFn
 from .perm import Basis, bases_conjugate
+
+
+def _bool_text(flag: bool) -> str:
+    return "true" if flag else "false"
+
+
+def _states_text(states: Iterable[int]) -> str:
+    return ",".join(map(str, states))
+
+
+def _pair_text(u: int, v: int, right_count: int) -> str:
+    """Flat states u and v as the pair {(i,j),(k,l)}."""
+    i, j = divmod(u, right_count)
+    k, l = divmod(v, right_count)
+    return f"{{({i},{j}),({k},{l})}}"
 
 
 class ProductAutomaton(Semiautomaton):
@@ -46,9 +62,6 @@ class ProductAutomaton(Semiautomaton):
 
     def flat(self, i: int, j: int) -> int:
         return i * self.right_count + j
-
-    def unflat(self, k: int) -> tuple[int, int]:
-        return divmod(k, self.right_count)
 
 
 def direct_product(left: Semiautomaton, right: Semiautomaton) -> ProductAutomaton:
@@ -82,7 +95,7 @@ def flat_final_set(
     if fmask >> left_count or gmask >> right_count:
         raise ValueError("final state out of range")
     flat = flat_final_mask(f, fmask, left_count, gmask, right_count)
-    return frozenset(q for q in range(left_count * right_count) if flat >> q & 1)
+    return frozenset(mask_states(flat, left_count * right_count))
 
 
 def product_dfa(left: DFA, right: DFA, f: BoolFn) -> DFA:
@@ -224,36 +237,30 @@ def predict_connected(left_basis: Basis, right_basis: Basis) -> bool:
 
 
 def format_pair_graph(
-    p: ProductAutomaton,
-    graph: Optional[PairGraph] = None,
-    finals: Optional[Iterable[int] | int] = None,
+    p: ProductAutomaton, finals: Optional[Iterable[int] | int] = None
 ) -> str:
     """Deterministic listing: components by smallest vertex, vertices in
     lexicographic order, a '*' on distinguishing pairs when finals are given."""
-    if graph is None:
-        graph = pair_graph(p)
-    n = p.right_count
+    graph = pair_graph(p)
     mask = None if finals is None else finals_to_mask(finals)
     connected = is_connected(p)
     lines = [
         f"pairgraph m={p.left_count} n={p.right_count} "
         f"vertices={len(graph.vertices)} components={len(graph.components)} "
-        f"connected={'true' if connected else 'false'}"
+        f"connected={_bool_text(connected)}"
     ]
     for idx, comp in enumerate(graph.components, start=1):
         label = classify_component(comp, p.left_count, p.right_count)
         lines.append(
             f"component {idx} kind={label.kind} "
-            f"exact={'true' if label.exact else 'false'} size={len(comp)}"
+            f"exact={_bool_text(label.exact)} size={len(comp)}"
         )
         for (u, v) in comp:
             star = ""
             if mask is not None and ((mask >> u) ^ (mask >> v)) & 1:
                 star = " *"
-            i, j = divmod(u, n)
-            k, l = divmod(v, n)
-            lines.append(f"  {{({i},{j}),({k},{l})}}{star}")
+            lines.append(f"  {_pair_text(u, v, p.right_count)}{star}")
     if mask is not None:
         value = connected and all_distinguished(graph.components, mask)
-        lines.append(f"predicted minimal: {'true' if value else 'false'}")
+        lines.append(f"predicted minimal: {_bool_text(value)}")
     return "\n".join(lines) + "\n"

@@ -2,41 +2,31 @@
 
 Each known id rebuilds one worked scenario from first principles and prints
 the quantities it is about.  The reports are frozen under tests/golden/.
+Every complexity they print comes from _complexity_of.
 """
 
 from typing import Optional
 
 from .automaton import (
-    Semiautomaton,
     from_basis,
     is_connected,
+    mask_states,
     moore_complexity,
     reachable_states,
     transition_semigroup,
 )
 from .boolops import CANONICAL_TABLES, BoolFn, proper_functions
-from .perm import Basis, bases_conjugate, format_cycles
+from .perm import Basis, Perm, bases_conjugate, format_cycles
 from .product import (
+    _bool_text,
+    _pair_text,
+    _states_text,
     classify_component,
     direct_product,
     flat_final_mask,
     format_pair_graph,
     has_distinguishing_pair,
     pair_graph,
-)
-
-
-def _bool_text(flag: bool) -> str:
-    return "true" if flag else "false"
-
-
-REPRODUCE_IDS = (
-    "example-1",
-    "example-2.2",
-    "example-3.2",
-    "example-3.3",
-    "example-3.4",
-    "prop-1",
 )
 
 
@@ -108,24 +98,16 @@ def _reproduce_example_2_2() -> str:
                             xnor_low = xnor_low and c < 4
                         else:
                             others_full = others_full and c == 4
-                    f_text = ",".join(
-                        str(a) for a in range(2) if fmask >> a & 1)
-                    g_text = ",".join(
-                        str(a) for a in range(2) if gmask >> a & 1)
                     lines.append(
-                        f"{names[i]} x {names[j]} F={f_text} Fp={g_text}: "
+                        f"{names[i]} x {names[j]}"
+                        f" F={_states_text(mask_states(fmask, 2))}"
+                        f" Fp={_states_text(mask_states(gmask, 2))}: "
                         + " ".join(parts))
     lines.append(f"xor below 4 in all products: {_bool_text(xor_low)}")
     lines.append(f"xnor below 4 in all products: {_bool_text(xnor_low)}")
     lines.append("other proper ops equal 4 in all products: "
                  + _bool_text(others_full))
     return "\n".join(lines) + "\n"
-
-
-def _pair_graph_section(b1: Basis, b2: Basis, flat: int) -> str:
-    prod = direct_product(from_basis(b1), from_basis(b2))
-    graph = pair_graph(prod)
-    return format_pair_graph(prod, graph, flat)
 
 
 def _reproduce_example_3_2() -> str:
@@ -138,7 +120,8 @@ def _reproduce_example_3_2() -> str:
     lines.append(f"right (3 states): {b2}")
     lines.append(f"F = 0  Fp = 0,1  op = {op.label()}")
     flat = flat_final_mask(op, fmask, 2, gmask, 3)
-    lines.append(_pair_graph_section(b1, b2, flat))
+    prod = direct_product(from_basis(b1), from_basis(b2))
+    lines.append(format_pair_graph(prod, flat))
     oracle = _complexity_of(b1, b2, fmask, gmask, op)
     lines.append(f"oracle complexity: {oracle}")
     return "\n".join(lines) + "\n"
@@ -156,24 +139,18 @@ def _reproduce_example_3_3() -> str:
         op = BoolFn.by_name(op_name)
         c = _complexity_of(b1, b2, fmask, gmask, op)
         lines.append(f"complexity {op.label()}: {c}")
-    op = BoolFn.by_name("and")
-    flat = flat_final_mask(op, fmask, 3, gmask, 4)
+    flat = flat_final_mask(BoolFn.by_name("and"), fmask, 3, gmask, 4)
     prod = direct_product(from_basis(b1), from_basis(b2))
-    graph = pair_graph(prod)
-    n = 4
     want = (prod.flat(0, 0), prod.flat(0, 3))
-    comp = next(c for c in graph.components if want in c)
+    comp = next(c for c in pair_graph(prod).components if want in c)
     label = classify_component(comp, 3, 4)
     dist = has_distinguishing_pair(comp, flat)
     lines.append(
-        "and-instance component containing {(0,0),(0,3)}:"
+        f"and-instance component containing {_pair_text(*want, 4)}:"
         f" kind={label.kind} exact={_bool_text(label.exact)}"
         f" size={len(comp)}"
         f" distinguishing={'some' if dist else 'none'}")
-    for (u, v) in comp:
-        i, j = divmod(u, n)
-        k, l = divmod(v, n)
-        lines.append(f"  {{({i},{j}),({k},{l})}}")
+    lines.extend(f"  {_pair_text(u, v, 4)}" for u, v in comp)
     return "\n".join(lines) + "\n"
 
 
@@ -188,26 +165,27 @@ def _reproduce_example_3_4() -> str:
     lines.append(f"conjugate: {_bool_text(conjugate)}")
     lines.append(f"connected: {_bool_text(connected)}")
     for fmask, gmask in ((0b0011, 0b0011), (0b1001, 0b0110)):
-        f_text = ",".join(str(a) for a in range(4) if fmask >> a & 1)
-        g_text = ",".join(str(a) for a in range(4) if gmask >> a & 1)
         parts = []
         for op_name in ("and", "diff", "rdiff", "xor", "or"):
             op = BoolFn.by_name(op_name)
             c = _complexity_of(b1, b2, fmask, gmask, op)
             parts.append(f"{op.name}={c}")
-        lines.append(f"F = {f_text}  Fp = {g_text}: " + " ".join(parts))
+        lines.append(f"F = {_states_text(mask_states(fmask, 4))}"
+                     f"  Fp = {_states_text(mask_states(gmask, 4))}: "
+                     + " ".join(parts))
     return "\n".join(lines) + "\n"
 
 
-def _witness_actions(size: int, swapped: bool):
-    cycle = tuple(range(1, size)) + (0,)
-    swap = (1, 0) + tuple(range(2, size))
-    return (swap, cycle) if swapped else (cycle, swap)
-
-
-def _witness_semiautomaton(size: int, swapped: bool) -> Semiautomaton:
-    a, b = _witness_actions(size, swapped)
-    return Semiautomaton(size, ("a", "b"), {"a": a, "b": b})
+def _witness(name: str, size: int, swapped: bool):
+    """A prop-1 witness basis (a = full cycle, b = (0,1), or the reverse
+    when swapped) and its description line."""
+    cycle = Perm(tuple(range(1, size)) + (0,))
+    swap = Perm((1, 0) + tuple(range(2, size)))
+    if swapped:
+        basis, shape = Basis(swap, cycle), "b = full cycle, a = (0,1)"
+    else:
+        basis, shape = Basis(cycle, swap), "a = full cycle, b = (0,1)"
+    return basis, f"{name}: {size} states, {shape}, final {size - 1}"
 
 
 def _reproduce_prop_1(m: Optional[int], n: Optional[int]) -> str:
@@ -216,41 +194,39 @@ def _reproduce_prop_1(m: Optional[int], n: Optional[int]) -> str:
     if not (3 <= m <= 6 and 3 <= n <= 6):
         raise ValueError("prop-1 degrees must be between 3 and 6")
     lines = [f"reproduce prop-1 m={m} n={n}"]
-    left = _witness_semiautomaton(m, swapped=False)
-    lines.append(f"left: {m} states, a = full cycle, b = (0,1), final {m - 1}")
-    fmask = 1 << (m - 1)
-    gmask = 1 << (n - 1)
+    left, describe = _witness("left", m, swapped=False)
+    lines.append(describe)
+    fmask, gmask = 1 << (m - 1), 1 << (n - 1)
     canonical = [BoolFn.by_table(t) for t in CANONICAL_TABLES]
-    sections = [("right-swapped",
-                 _witness_semiautomaton(n, swapped=True),
-                 f"right-swapped: {n} states, b = full cycle, a = (0,1),"
-                 f" final {n - 1}")]
-    if m != n:
-        sections.append(
-            ("right-same-shape",
-             _witness_semiautomaton(n, swapped=False),
-             f"right-same-shape: {n} states, a = full cycle, b = (0,1),"
-             f" final {n - 1}"))
     all_ok = True
-    for name, right, describe in sections:
+    for name, swapped in (("right-swapped", True),
+                          ("right-same-shape", False)):
+        if m == n and not swapped:
+            lines.append(f"{name}: skipped (degrees equal)")
+            break
+        right, describe = _witness(name, n, swapped)
         lines.append(describe)
-        prod = direct_product(left, right)
-        reach = reachable_states(prod)
-        actions = [prod.actions[letter] for letter in prod.alphabet]
-        parts = []
-        section_ok = True
-        for op in canonical:
-            flat = flat_final_mask(op, fmask, m, gmask, n)
-            c = moore_complexity(actions, reach, flat, prod.state_count)
-            parts.append(f"{op.name}={c}")
-            section_ok = section_ok and c == m * n
-        lines.append(f"complexities vs {name}: " + " ".join(parts))
+        counts = [_complexity_of(left, right, fmask, gmask, op)
+                  for op in canonical]
+        lines.append(f"complexities vs {name}: " + " ".join(
+            f"{op.name}={c}" for op, c in zip(canonical, counts)))
+        section_ok = counts.count(m * n) == len(counts)
         lines.append(f"all equal m*n: {_bool_text(section_ok)}")
         all_ok = all_ok and section_ok
-    if m == n:
-        lines.append("right-same-shape: skipped (degrees equal)")
     lines.append(f"witness confirmed: {_bool_text(all_ok)}")
     return "\n".join(lines) + "\n"
+
+
+_REPORTS = {
+    "example-1": _reproduce_example_1,
+    "example-2.2": _reproduce_example_2_2,
+    "example-3.2": _reproduce_example_3_2,
+    "example-3.3": _reproduce_example_3_3,
+    "example-3.4": _reproduce_example_3_4,
+    "prop-1": _reproduce_prop_1,
+}
+
+REPRODUCE_IDS = tuple(_REPORTS)
 
 
 def reproduce(ident: str, m: Optional[int] = None,
@@ -258,18 +234,9 @@ def reproduce(ident: str, m: Optional[int] = None,
     """Text report for one of the known worked scenarios."""
     if ident != "prop-1" and (m is not None or n is not None):
         raise ValueError(f"{ident} does not take --m/--n")
-    if ident == "example-1":
-        return _reproduce_example_1()
-    if ident == "example-2.2":
-        return _reproduce_example_2_2()
-    if ident == "example-3.2":
-        return _reproduce_example_3_2()
-    if ident == "example-3.3":
-        return _reproduce_example_3_3()
-    if ident == "example-3.4":
-        return _reproduce_example_3_4()
-    if ident == "prop-1":
-        return _reproduce_prop_1(m, n)
-    raise ValueError(
-        f"unknown reproduction id {ident!r}; known ids: "
-        + ", ".join(REPRODUCE_IDS))
+    report = _REPORTS.get(ident)
+    if report is None:
+        raise ValueError(
+            f"unknown reproduction id {ident!r}; known ids: "
+            + ", ".join(REPRODUCE_IDS))
+    return report(m, n) if ident == "prop-1" else report()

@@ -213,6 +213,24 @@ class TestVerify:
         assert r.returncode == 2
         assert "proper" in r.stderr
 
+    def test_improper_op_beside_a_proper_one(self):
+        r = run_cli("verify", "--m", "2", "--n", "3", "--exhaustive",
+                    "--ops", "and,0011")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == ("error: '0011' depends on at most one argument;"
+                            " campaigns only cover proper operations\n")
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_64_bits(self, seed):
+        # splitmix64 keeps 64 bits of the seed, so such a seed would repeat
+        # the report of another one
+        r = run_cli("verify", "--m", "3", "--n", "3", "--samples", "40",
+                    "--seed", seed)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == f"error: seed must be in 0..2^64-1, got {seed}\n"
+
 
 class TestPinnedReports:
     # Report digests and summaries recorded from the CLI before any

@@ -146,6 +146,37 @@ class TestCampaignConfig:
         ops = CampaignConfig(2, 2, ops=subset).resolved_ops()
         assert [f.name for f in ops] == ["and", "or"]
 
+    def test_improper_op_rejected(self):
+        # the rule the CLI applies, with its message
+        with pytest.raises(ValueError, match=(
+                "'0011' depends on at most one argument;"
+                " campaigns only cover proper operations")):
+            CampaignConfig(2, 3, ops=(BoolFn(0b0011),))
+        with pytest.raises(ValueError, match="proper operations"):
+            CampaignConfig(2, 3, mode="sample", sample_count=5,
+                           ops=(BoolFn.by_name("and"), BoolFn(0b1111)))
+
+    def test_repeated_ops_count_once(self):
+        and_ = BoolFn.by_name("and")
+        once, twice = io.StringIO(), io.StringIO()
+        res = verify_theorem1(CampaignConfig(2, 3, ops=(and_,)), out=once)
+        again = verify_theorem1(CampaignConfig(2, 3, ops=(and_, and_)),
+                                out=twice)
+        assert res.total == again.total == 648
+        assert twice.getvalue() == once.getvalue()
+        # the first operation given for a table is the one reported
+        ops = CampaignConfig(2, 2, ops=(BoolFn(0b0001), and_)).resolved_ops()
+        assert [f.label() for f in ops] == ["0001"]
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be in 0\.\.2\^64-1"):
+            CampaignConfig(3, 3, mode="sample", sample_count=40, seed=seed)
+
+    def test_seed_range_ends_are_accepted(self):
+        for seed in (0, (1 << 64) - 1):
+            CampaignConfig(3, 3, mode="sample", sample_count=40, seed=seed)
+
     def test_instance_count(self):
         assert exhaustive_instance_count(CampaignConfig(2, 2)) == 360
         assert exhaustive_instance_count(CampaignConfig(2, 3)) == 6480

@@ -56,7 +56,7 @@ class TestDirectProduct:
         assert p.state_count == 6
         assert p.left_count == 2 and p.right_count == 3
         assert p.flat(1, 2) == 5
-        assert p.unflat(5) == (1, 2)
+        assert divmod(5, p.right_count) == (1, 2)
         assert p.initial == 0
 
     def test_componentwise_action(self):
@@ -350,7 +350,7 @@ class TestFormatting:
         mask = 0
         for q in finals:
             mask |= 1 << q
-        text = format_pair_graph(p, g, finals)
+        text = format_pair_graph(p, finals)
         starred = sum(1 for ln in text.splitlines() if ln.endswith("*"))
         want = sum(1 for c in g.components for (u, v) in c
                    if ((mask >> u) ^ (mask >> v)) & 1)

@@ -29,7 +29,7 @@ from permdfa import (
     reachable_states,
     transition_semigroup,
 )
-from permdfa.automaton import moore_complexity
+from permdfa.automaton import finals_to_mask, mask_states, moore_complexity
 from permdfa.harness import enumerate_bases
 from permdfa.product import all_distinguished
 
@@ -166,6 +166,16 @@ class TestComplementInvariance:
                 == moore_complexity(actions, reach, full ^ mask, m * n))
         assert (all_distinguished(components, mask)
                 == all_distinguished(components, full ^ mask))
+
+
+class TestMaskStates:
+    # mask_states is the inverse of finals_to_mask on k states
+    @given(st.integers(0, 8), st.sets(st.integers(0, 7)))
+    def test_round_trip(self, k, states):
+        states = {q for q in states if q < k}
+        assert mask_states(finals_to_mask(states), k) == tuple(sorted(states))
+        for x in range(1 << k):
+            assert finals_to_mask(mask_states(x, k)) == x
 
 
 class TestEqualClassSizes:
