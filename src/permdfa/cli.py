@@ -11,7 +11,7 @@ from .automaton import DFA, minimize, parse_automaton_text
 from .boolops import BoolFn
 from .errors import CapExceededError, TwoPathDisagreement
 from .harness import CampaignConfig, REPRODUCE_IDS, reproduce, verify_theorem1
-from .perm import Basis, bases_conjugate, format_cycles
+from .perm import Basis, _conjugator_text, bases_conjugate
 from .product import (
     direct_product,
     flat_final_set,
@@ -107,8 +107,7 @@ def _load_automata(args, purpose=None):
 def _cmd_conjugate_bases(args) -> int:
     b1 = Basis.parse(args.b1, args.degree)
     b2 = Basis.parse(args.b2, args.degree)
-    r = bases_conjugate(b1, b2)
-    print(format_cycles(r) if r is not None else "none")
+    print(_conjugator_text(bases_conjugate(b1, b2)))
     return 0
 
 

@@ -15,10 +15,11 @@ adds the tally.  Complementing the product's finals changes neither
 the Nerode partition nor which pair-graph components hold a distinguishing
 pair, so judging a pair judges each {mask, ~mask} once.
 
-Exhaustive campaigns judge one basis pair per orbit of S_m x S_n relabelling
-both bases; the orbit's other connected pairs emit its entry through a pick
-that reorders its verdicts (see _sweep).  evaluate_instance judges a fresh
-context per instance and so is the unreduced reference.
+Exhaustive campaigns judge each orbit of S_m x S_n relabelling both bases
+once per class of start states, at its representative pair; every pair of
+the orbit emits that entry through a pick that reorders its verdicts (see
+_sweep).  evaluate_instance judges a fresh context per instance and so is
+the unreduced reference.
 
 The reproduction reports live in reproductions; reproduce and
 REPRODUCE_IDS are re-exported here.
@@ -156,6 +157,8 @@ class CampaignConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "sample" and self.sample_count < 1:
             raise ValueError("sampled mode needs a positive sample count")
+        if self.mode == "exhaustive" and (self.seed or self.sample_count):
+            raise ValueError("seed and sample count only apply to sampled mode")
         if not 0 <= self.seed <= _MASK64:
             raise ValueError(f"seed must be in 0..2^64-1, got {self.seed}")
 
@@ -231,30 +234,29 @@ class _PairContext:
         "actions", "reachable", "conjugate_bound", "components",
     )
 
-    def __init__(self, b1: Basis, b2: Basis):
+    def __init__(self, b1: Basis, b2: Basis, start: int = 0):
         self.m = b1.degree
-        self.n = b2.degree
-        self.mn = self.m * self.n
-        conjugator = bases_conjugate(b1, b2) if self.m == self.n else None
+        n = self.n = b2.degree
+        self.mn = self.m * n
+        conjugator = bases_conjugate(b1, b2) if self.m == n else None
         self.conjugate = conjugator is not None
-        prod = self.product = direct_product(from_basis(b1), from_basis(b2))
+        i0, j0 = divmod(start, n)
+        prod = self.product = direct_product(from_basis(b1, initial=i0),
+                                             from_basis(b2, initial=j0))
         self.actions = [prod.actions[letter] for letter in prod.alphabet]
         self.reachable = reachable_states(prod)
         self.connected = len(self.reachable) == self.mn
         # For conjugate bases the reachable part is forced: with conjugator
-        # r it is the graph of r (n states) when r fixes the shared start
-        # state, and every off-diagonal pair (x, r(y)), x != y (n(n-1)
-        # states), when it does not.  The complexity is bounded by that
-        # count; the bound is -1 when the reachable part has another shape.
+        # r it is the graph of r (n states) when r carries i0 to j0, and
+        # every off-diagonal pair (x, r(y)), x != y (n(n-1) states), when
+        # it does not.  The complexity is bounded by that count; the bound
+        # is -1 when the reachable part has another shape.
         self.conjugate_bound = -1
         if self.conjugate:
             r = conjugator.image
-            n = self.n
-            if r[0] == 0:
-                expected = {x * n + r[x] for x in range(n)}
-            else:
-                expected = {x * n + r[y]
-                            for x in range(n) for y in range(n) if y != x}
+            diagonal = r[i0] == j0
+            expected = {x * n + r[y] for x in range(n) for y in range(n)
+                        if (x == y) == diagonal}
             if set(self.reachable) == expected:
                 self.conjugate_bound = len(expected)
         self.components = (pair_graph(prod).components if self.connected
@@ -397,7 +399,8 @@ def evaluate_instance(
     if not (0 < fmask < (1 << m) - 1) or not (0 < gmask < (1 << n) - 1):
         raise ValueError("final sets must be proper and nonempty")
     holder: List[VerificationRecord] = []
-    _judge_one(b1, b2, fmask, gmask, op, CampaignResult(CampaignConfig(m, n)),
+    _judge_one(b1, b2, fmask, gmask, op,
+               CampaignResult(CampaignConfig(m, n, ops=(op,))),
                holder.append, None)
     return holder[0]
 
@@ -412,11 +415,9 @@ def _judge_one(b1: Basis, b2: Basis, fmask: int, gmask: int, op: BoolFn,
 
 
 def exhaustive_instance_count(config: CampaignConfig) -> int:
-    nb1 = len(enumerate_bases(config.m))
-    nb2 = len(enumerate_bases(config.n))
-    nf = (1 << config.m) - 2
-    ng = (1 << config.n) - 2
-    return nb1 * nb2 * nf * ng * len(config.resolved_ops())
+    m, n = config.m, config.n
+    return (len(enumerate_bases(m)) * len(enumerate_bases(n))
+            * ((1 << m) - 2) * ((1 << n) - 2) * len(config.resolved_ops()))
 
 
 def verify_theorem1(
@@ -452,7 +453,7 @@ def verify_theorem1(
 
 
 def _relabelled_offsets(degree: int, stride: int):
-    """(representative index, text, offsets) for each basis of
+    """(representative index, text, offsets, r^-1(0)) for each basis of
     enumerate_bases(degree), where offsets[F - 1] is stride * (r^-1 F - 1)
     for each proper finals mask F and basis == r * rep * r^-1."""
     bases = enumerate_bases(degree)
@@ -462,24 +463,24 @@ def _relabelled_offsets(degree: int, stride: int):
         table.append((rep, str(basis), tuple(
             stride * (sum(1 << q for q in range(degree) if mask >> img[q] & 1)
                       - 1)
-            for mask in range(1, (1 << degree) - 1))))
+            for mask in range(1, (1 << degree) - 1)), img.index(0)))
     return table
 
 
 def _sweep(config: CampaignConfig, result: CampaignResult,
            sink: Optional[Callable[[VerificationRecord], None]],
            out: Optional[TextIO]) -> None:
-    """Exhaustive mode, judging one basis pair per relabelling orbit.
+    """Exhaustive mode, judging one context per relabelling orbit and start.
 
-    Relabelling both bases by (r, s) in S_m x S_n renames the product state
-    (i, j) as (r(i), s(j)), and a connected product is strongly connected,
-    so its complexity does not depend on the start state.  The pair
-    (r*rep1*r^-1, s*rep2*s^-1) therefore takes, for (F, F', op), the
-    verdict its representative pair (rep1, rep2) gave (r^-1 F, s^-1 F', op).
-    The representative pair comes first in the stream, so its entry is
-    complete before any other pair of its orbit reads it.  Conjugate pairs
-    and pairs whose product is disconnected depend on the start state and
-    are judged directly.
+    Relabelling both bases by (r, s) in S_m x S_n renames product state
+    (i, j) as (r(i), s(j)), start state included, so the pair
+    (r*rep1*r^-1, s*rep2*s^-1) from (0, 0) takes, for (F, F', op), the
+    verdict of (rep1, rep2) from (r^-1(0), s^-1(0)) on (r^-1 F, s^-1 F', op).
+    The letters permute the product states, so an entry serves every start
+    its context reaches: one per connected orbit, two per conjugate one
+    (the diagonal and the off-diagonal; S_n is 2-transitive).  An entry that
+    holds a disagreement stops at the representative's first, so the pair
+    that meets it is judged directly and ends at its own.
     """
     m, n = config.m, config.n
     ops = config.resolved_ops()
@@ -495,30 +496,30 @@ def _sweep(config: CampaignConfig, result: CampaignResult,
     positions = list(range(len(combos[0])))
     left = _relabelled_offsets(m, ((1 << n) - 2) * k)
     right = _relabelled_offsets(n, k)
-    judged = {}
+    bases1, bases2 = enumerate_bases(m), enumerate_bases(n)
+    judged = {}  # (rep1, rep2, product state) -> (conjugate, connected), entry
     picks = {}
-    for i, b1 in enumerate(enumerate_bases(m)):
-        rep1, b1_text, f_offsets = left[i]
-        for j, b2 in enumerate(enumerate_bases(n)):
-            rep2, b2_text, g_offsets = right[j]
-            entry = judged.get((rep1, rep2))
-            if entry is None:
+    for b1, (rep1, b1_text, f_offsets, i0) in zip(bases1, left):
+        for b2, (rep2, b2_text, g_offsets, j0) in zip(bases2, right):
+            cached = judged.get((rep1, rep2, i0 * n + j0))
+            if cached is None:
+                ctx = _PairContext(bases1[rep1], bases2[rep2], i0 * n + j0)
+                cached = ctx.head[4:], _Judged(ctx, combos[0])
+                for state in ctx.reachable:
+                    judged[rep1, rep2, state] = cached
+            flags, entry = cached
+            head = (m, n, b1_text, b2_text, *flags)
+            # pick(xs) lists xs at the representative's index of each combo;
+            # pairs with the same relabellings share it, and its indices
+            # come from positions, so cached getters add no ints.
+            pick = picks.get((f_offsets, g_offsets))
+            if pick is None:
+                pick = picks[f_offsets, g_offsets] = itemgetter(*[
+                    positions[f + g + x]
+                    for f in f_offsets for g in g_offsets for x in range(k)])
+            if entry.disagree_at is not None:
                 ctx = _PairContext(b1, b2)
                 head, pick, entry = ctx.head, None, _Judged(ctx, combos[0])
-                if ((i, j) == (rep1, rep2) and ctx.connected
-                        and not ctx.conjugate):
-                    judged[rep1, rep2] = entry
-            else:
-                head = (m, n, b1_text, b2_text, False, True)
-                # pick(xs) lists xs at the representative's index of each
-                # combo; pairs with the same relabellings share it, and its
-                # indices come from positions, so cached getters add no ints.
-                pick = picks.get((f_offsets, g_offsets))
-                if pick is None:
-                    pick = picks[f_offsets, g_offsets] = itemgetter(*[
-                        positions[f + g + x]
-                        for f in f_offsets for g in g_offsets
-                        for x in range(k)])
             _emit(head, combos, entry, pick, result, sink, out)
 
 
@@ -533,23 +534,19 @@ def _splitmix64(seed: int, index: int) -> int:
 _SAMPLE_TRY_CAP = 10_000
 
 
-def _random_basis(rng: random.Random, degree: int) -> Basis:
-    for _ in range(_SAMPLE_TRY_CAP):
-        s = list(range(degree))
-        rng.shuffle(s)
-        t = list(range(degree))
-        rng.shuffle(t)
-        if _images_generate_symmetric([s, t], degree):
-            return Basis._trusted(Perm._trusted(tuple(s)),
-                                  Perm._trusted(tuple(t)))
-    raise RuntimeError(f"no generating pair found at degree {degree} "
-                       f"after {_SAMPLE_TRY_CAP} tries")
-
-
 def _random_perm(rng: random.Random, degree: int) -> Perm:
     images = list(range(degree))
     rng.shuffle(images)
     return Perm._trusted(tuple(images))
+
+
+def _random_basis(rng: random.Random, degree: int) -> Basis:
+    for _ in range(_SAMPLE_TRY_CAP):
+        s, t = _random_perm(rng, degree), _random_perm(rng, degree)
+        if _images_generate_symmetric([s.image, t.image], degree):
+            return Basis._trusted(s, t)
+    raise RuntimeError(f"no generating pair found at degree {degree} "
+                       f"after {_SAMPLE_TRY_CAP} tries")
 
 
 def sample_instances(

@@ -194,6 +194,11 @@ def format_cycles(p: Perm) -> str:
     return "".join(parts) or "id"
 
 
+def _conjugator_text(r: Optional[Perm]) -> str:
+    """A conjugator found by bases_conjugate, or "none" when there is none."""
+    return format_cycles(r) if r is not None else "none"
+
+
 def _point_orbit(actions: Sequence[Sequence[int]], start: int, size: int) -> bytearray:
     """BFS over points 0..size-1 under the maps: seen[q] is 1 exactly when
     some sequence of maps carries start to q."""

@@ -16,7 +16,7 @@ from .automaton import (
     transition_semigroup,
 )
 from .boolops import CANONICAL_TABLES, BoolFn, proper_functions
-from .perm import Basis, Perm, bases_conjugate, format_cycles
+from .perm import Basis, Perm, _conjugator_text, bases_conjugate
 from .product import (
     _bool_text,
     _pair_text,
@@ -39,18 +39,20 @@ def _complexity_of(b1: Basis, b2: Basis, fmask: int, gmask: int,
                             prod.state_count)
 
 
+def _finals_text(fmask: int, m: int, gmask: int, n: int) -> str:
+    return (f"F = {_states_text(mask_states(fmask, m))}"
+            f"  Fp = {_states_text(mask_states(gmask, n))}")
+
+
 def _reproduce_example_1() -> str:
     b1 = Basis.parse("(0,1,2);(0,1)", 3)
     b2 = Basis.parse("(0,1,2);(1,2)", 3)
     b3 = Basis.parse("(0,1);(0,1,2)", 3)
-    r12 = bases_conjugate(b1, b2)
-    r13 = bases_conjugate(b1, b3)
     lines = ["reproduce example-1"]
     lines.append(f"degree 3 bases: b1 = {b1}  b2 = {b2}  b3 = {b3}")
-    lines.append("conjugator b1 -> b2: "
-                 + (format_cycles(r12) if r12 is not None else "none"))
-    lines.append("conjugator b1 -> b3: "
-                 + (format_cycles(r13) if r13 is not None else "none"))
+    for name, other in (("b2", b2), ("b3", b3)):
+        lines.append(f"conjugator b1 -> {name}: "
+                     + _conjugator_text(bases_conjugate(b1, other)))
     orders = [len(transition_semigroup(from_basis(b)))
               for b in (b1, b2, b3)]
     lines.append("transition semigroup orders: b1: {}  b2: {}  b3: {}".format(
@@ -118,7 +120,7 @@ def _reproduce_example_3_2() -> str:
     lines = ["reproduce example-3.2"]
     lines.append(f"left (2 states): {b1}")
     lines.append(f"right (3 states): {b2}")
-    lines.append(f"F = 0  Fp = 0,1  op = {op.label()}")
+    lines.append(_finals_text(fmask, 2, gmask, 3) + f"  op = {op.label()}")
     flat = flat_final_mask(op, fmask, 2, gmask, 3)
     prod = direct_product(from_basis(b1), from_basis(b2))
     lines.append(format_pair_graph(prod, flat))
@@ -134,11 +136,10 @@ def _reproduce_example_3_3() -> str:
     lines = ["reproduce example-3.3"]
     lines.append(f"left (3 states): {b1}")
     lines.append(f"right (4 states): {b2}")
-    lines.append("F = 2  Fp = 0,1")
-    for op_name in ("and", "xor", "or"):
-        op = BoolFn.by_name(op_name)
-        c = _complexity_of(b1, b2, fmask, gmask, op)
-        lines.append(f"complexity {op.label()}: {c}")
+    lines.append(_finals_text(fmask, 3, gmask, 4))
+    for op in map(BoolFn.by_name, ("and", "xor", "or")):
+        lines.append(f"complexity {op.label()}: "
+                     f"{_complexity_of(b1, b2, fmask, gmask, op)}")
     flat = flat_final_mask(BoolFn.by_name("and"), fmask, 3, gmask, 4)
     prod = direct_product(from_basis(b1), from_basis(b2))
     want = (prod.flat(0, 0), prod.flat(0, 3))
@@ -165,13 +166,10 @@ def _reproduce_example_3_4() -> str:
     lines.append(f"conjugate: {_bool_text(conjugate)}")
     lines.append(f"connected: {_bool_text(connected)}")
     for fmask, gmask in ((0b0011, 0b0011), (0b1001, 0b0110)):
-        parts = []
-        for op_name in ("and", "diff", "rdiff", "xor", "or"):
-            op = BoolFn.by_name(op_name)
-            c = _complexity_of(b1, b2, fmask, gmask, op)
-            parts.append(f"{op.name}={c}")
-        lines.append(f"F = {_states_text(mask_states(fmask, 4))}"
-                     f"  Fp = {_states_text(mask_states(gmask, 4))}: "
+        ops = map(BoolFn.by_name, ("and", "diff", "rdiff", "xor", "or"))
+        parts = [f"{op.name}={_complexity_of(b1, b2, fmask, gmask, op)}"
+                 for op in ops]
+        lines.append(_finals_text(fmask, 4, gmask, 4) + ": "
                      + " ".join(parts))
     return "\n".join(lines) + "\n"
 

@@ -270,6 +270,12 @@ class TestPinnedReports:
          "b4395b296ea6a044741d41acfe384988e0a6de1d304f70b50caf5fb3bb4e7458",
          "summary: total=100 pass=100 exception-expected=0 fail=0"
          " conjugate=12"),
+        # Conjugate pairs are most of this sweep; it took about 80 s when
+        # each of them was judged on its own.
+        (("--m", "4", "--n", "4", "--exhaustive", "--ops", "and"),
+         "81bd4fe1c068f2e5171d133f4512cc769021a56bfd7c42df89f48bd788170e4d",
+         "summary: total=9144576 pass=9144576 exception-expected=0 fail=0"
+         " conjugate=1016064"),
     ])
     def test_report_digest(self, tmp_path, args, sha256, summary):
         out = tmp_path / "report.tsv"

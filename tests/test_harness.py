@@ -173,6 +173,12 @@ class TestCampaignConfig:
         with pytest.raises(ValueError, match=r"seed must be in 0\.\.2\^64-1"):
             CampaignConfig(3, 3, mode="sample", sample_count=40, seed=seed)
 
+    @pytest.mark.parametrize("sampling", [{"seed": 5}, {"sample_count": 7}])
+    def test_sampling_parameters_rejected_when_exhaustive(self, sampling):
+        # an exhaustive campaign would silently ignore them
+        with pytest.raises(ValueError, match="only apply to sampled mode"):
+            CampaignConfig(2, 3, **sampling)
+
     def test_seed_range_ends_are_accepted(self):
         for seed in (0, (1 << 64) - 1):
             CampaignConfig(3, 3, mode="sample", sample_count=40, seed=seed)
@@ -367,6 +373,12 @@ class TestPinnedInstances:
             "3\t4\t(0,1);(0,1,2)\t(0,1);(1,3,2)\tfalse\ttrue"
             "\t2\t0,1\tand\tfalse\t6\tEXCEPTION-EXPECTED")
 
+    def test_improper_op_rejected(self):
+        # the campaigns' operation rule: 0011 ignores its second argument
+        with pytest.raises(ValueError, match="proper operations"):
+            evaluate_instance(self.B34_LEFT, self.B34_RIGHT, [0], [0],
+                              BoolFn(0b0011))
+
     def test_final_set_validation(self):
         with pytest.raises(ValueError):
             evaluate_instance(self.B34_LEFT, self.B34_RIGHT, [], [0],
@@ -404,9 +416,10 @@ def _evaluate_row(row):
         BoolFn.parse(f[8])).tsv_row()
 
 
-# Exhaustive 2x3 with all ten operations, and 3x3 with and and xor, which
-# covers the conjugate (disconnected) branch.
-UNREDUCED_SWEEPS = [(2, 3, ()), (3, 3, ("and", "xor"))]
+# Exhaustive 2x3 with all ten operations, 3x3 with and and xor, which
+# covers the conjugate (disconnected) branch, and 2x2 with all ten, where
+# every relabelling is trivial.
+UNREDUCED_SWEEPS = [(2, 3, ()), (3, 3, ("and", "xor")), (2, 2, ())]
 
 
 class TestComplementMemo:
@@ -530,10 +543,11 @@ class _DigestStream:
 
 
 class TestOrbitReduction:
-    """Exhaustive campaigns judge one basis pair per S_m x S_n relabelling
-    orbit and give every other connected pair its representative's verdicts.
+    """Exhaustive campaigns judge one representative pair per S_m x S_n
+    relabelling orbit and class of start states, and give every pair of the
+    orbit, conjugate pairs included, its representative's verdicts.
     TestComplementMemo.test_rows_equal_unmemoized_rows compares every row
-    of exhaustive 2x3 and 3x3 with evaluate_instance, the unreduced
+    of exhaustive 2x2, 2x3 and 3x3 with evaluate_instance, the unreduced
     reference."""
 
     @pytest.mark.parametrize("degree,orbits,size", [
@@ -606,18 +620,90 @@ class TestOrbitReduction:
         for row in picker.rows.values():
             assert _evaluate_row(row) == row
 
+    def test_sampled_conjugate_rows_equal_unreduced_rows(self):
+        # 200 seeded rows of the and-only 4x4 sweep, all from conjugate
+        # pairs: half relabelled to start on the diagonal of their
+        # representative (r^-1(0) = s^-1(0)), half off it
+        table = conjugation_orbits(enumerate_bases(4))
+        per_pair = 14 * 14
+        starts = ([], [])  # pair indices off and on the diagonal
+        for i, (rep1, r) in enumerate(table):
+            for j, (rep2, s) in enumerate(table):
+                if rep1 == rep2:
+                    starts[r.image.index(0) == s.image.index(0)].append(
+                        i * len(table) + j)
+        rng = random.Random(7)
+        wanted = {rng.choice(pairs) * per_pair + rng.randrange(per_pair)
+                  for pairs in starts for _ in range(100)}
+        picker = _RowPicker(wanted)
+        res = verify_theorem1(
+            CampaignConfig(4, 4, ops=(BoolFn.by_name("and"),)), out=picker)
+        assert res.total == picker.next == 9144576
+        assert sorted(picker.rows) == sorted(wanted)
+        oracles = collections.defaultdict(set)
+        for index, row in picker.rows.items():
+            assert _evaluate_row(row) == row
+            diagonal = index // per_pair in starts[1]
+            oracles[diagonal].add(int(row.split("\t")[10]))
+        # n states reachable on the diagonal, n(n-1) off it
+        assert max(oracles[True]) <= 4 < max(oracles[False]) <= 12
+
     def test_one_judgement_per_orbit(self, monkeypatch):
         calls = collections.Counter()
-        for name in ("moore_complexity", "pair_graph"):
+        for name in ("_PairContext", "moore_complexity", "pair_graph"):
             def counting(*args, _real=getattr(harness, name), _name=name):
                 calls[_name] += 1
                 return _real(*args)
             monkeypatch.setattr(harness, name, counting)
-        res = verify_theorem1(CampaignConfig(
-            3, 4, ops=(BoolFn.by_name("xor"), BoolFn.by_name("xnor"))))
-        assert res.total == 653184
-        # 27 representative pairs, 21 masks up to complement each
-        assert calls == {"moore_complexity": 567, "pair_graph": 27}
+        for m, n, ops, total, contexts, moore, graphs in [
+            # 27 representative pairs, 21 masks up to complement each
+            (3, 4, ("xor", "xnor"), 653184, 27, 567, 27),
+            # 6 connected pair orbits, and 3 conjugate ones with two start
+            # classes each; 45 masks up to complement per context
+            (3, 3, (), 116640, 12, 540, 6),
+            # 72 connected pair orbits and 9 conjugate ones; 196 masks each
+            (4, 4, ("and",), 9144576, 90, 17640, 72),
+        ]:
+            calls.clear()
+            res = verify_theorem1(CampaignConfig(
+                m, n, ops=tuple(map(BoolFn.by_name, ops))))
+            assert res.total == total
+            assert calls == {"_PairContext": contexts,
+                             "moore_complexity": moore, "pair_graph": graphs}
+
+    def test_disagreement_in_a_relabelled_conjugate_context(
+            self, monkeypatch):
+        # Moore miscounts every product with n(n-1) = 6 reachable states,
+        # the off-diagonal contexts of the conjugate 3x3 pairs, so table
+        # filling disagrees with it.  The first pair to meet one is a
+        # representative b1 with a conjugate b2 != b1, whose entry comes
+        # through a non-identity pick; the campaign ends at that pair's own
+        # first row.
+        config = CampaignConfig(3, 3, ops=(BoolFn.by_name("and"),))
+        clean = io.StringIO()
+        verify_theorem1(config, out=clean)
+        clean_rows = clean.getvalue().splitlines()
+        real = harness.moore_complexity
+        monkeypatch.setattr(
+            harness, "moore_complexity",
+            lambda actions, reachable, *rest:
+            real(actions, reachable, *rest) - (len(reachable) == 6))
+        buf = io.StringIO()
+        with pytest.raises(TwoPathDisagreement) as info:
+            verify_theorem1(config, out=buf)
+        rows = buf.getvalue().splitlines()
+        assert rows[-1] == info.value.row
+        assert rows[:-1] == clean_rows[:len(rows) - 1]
+        fields = info.value.row.split("\t")
+        assert fields[:9] == clean_rows[len(rows) - 1].split("\t")[:9]
+        b1, b2 = Basis.parse(fields[2], 3), Basis.parse(fields[3], 3)
+        assert b1 == enumerate_bases(3)[0] and b2 != b1
+        assert bases_conjugate(b1, b2).image[0] != 0
+        # the pair's own first combo, not its representative's
+        assert fields[4:9] == ["true", "false", "0", "0", "and"]
+        moore = int(fields[10])
+        assert (info.value.moore, info.value.table_filling) == (
+            moore, moore + 1)
 
     # 3x3 covers the sink records of conjugate pairs
     @pytest.mark.parametrize("m,n,op,total", [
