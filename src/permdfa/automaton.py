@@ -161,12 +161,12 @@ def moore_classes(
     reachable: Sequence[int],
     finals_mask: int,
     state_count: int,
-) -> list[int]:
+) -> tuple[list[int], int]:
     """Moore refinement over the reachable states.
 
-    Returns a list mapping each state to its class id, -1 where unreachable.
-    Class ids follow first occurrence along ascending states, so id order is
-    smallest-member order.
+    Returns a list mapping each state to its class id, -1 where unreachable,
+    and the number of classes. Class ids follow first occurrence along
+    ascending states, so id order is smallest-member order.
     """
     cls = [-1] * state_count
     ids: dict = {}
@@ -190,10 +190,10 @@ def moore_classes(
                     c = ids[key] = len(ids)
                 new[q] = c
             if len(ids) == k:
-                return new
+                return new, k
             cls = new
             k = len(ids)
-        return cls
+        return cls, k
     while k < nreach:
         ids = {}
         new = [-1] * state_count
@@ -204,10 +204,10 @@ def moore_classes(
                 c = ids[key] = len(ids)
             new[q] = c
         if len(ids) == k:
-            return new
+            return new, k
         cls = new
         k = len(ids)
-    return cls
+    return cls, k
 
 
 def moore_complexity(
@@ -217,12 +217,7 @@ def moore_complexity(
     state_count: int,
 ) -> int:
     """Class count of moore_classes, for callers that only need the number."""
-    cls = moore_classes(actions, reachable, finals_mask, state_count)
-    top = 0
-    for q in reachable:
-        if cls[q] > top:
-            top = cls[q]
-    return top + 1
+    return moore_classes(actions, reachable, finals_mask, state_count)[1]
 
 
 def finals_to_mask(finals: Iterable[int] | int) -> int:
@@ -246,8 +241,8 @@ def _moore(d: DFA):
     reach = reachable_states(d)
     acts = [d.actions[letter] for letter in d.alphabet]
     mask = finals_to_mask(d.finals)
-    cls = moore_classes(acts, reach, mask, d.state_count)
-    return reach, acts, mask, cls, max(cls[q] for q in reach) + 1
+    return (reach, acts, mask,
+            *moore_classes(acts, reach, mask, d.state_count))
 
 
 def minimize(d: DFA) -> tuple[DFA, int]:

@@ -145,7 +145,7 @@ def _cmd_verify(args, parser) -> int:
         parser.error("--samples requires --seed")
     if args.exhaustive and args.seed is not None:
         parser.error("--seed only applies to sampled mode")
-    ops = _parse_ops(args.ops) if args.ops else ()
+    ops = _parse_ops(args.ops) if args.ops is not None else ()
     if args.exhaustive:
         config = CampaignConfig(args.m, args.n, mode="exhaustive", ops=ops,
                                 output=args.out)

@@ -57,8 +57,7 @@ from .perm import (
     Perm,
     _images_generate_symmetric,
     bases_conjugate,
-    conjugation_orbits,
-    generating_pairs,
+    basis_orbits,
 )
 from .product import (
     _bool_text,
@@ -128,12 +127,9 @@ def _verdict_text(predicted: bool, oracle: int, status: str) -> str:
 
 @lru_cache(maxsize=None)
 def enumerate_bases(n: int) -> Tuple[Basis, ...]:
-    """All ordered generating pairs of S_n, lexicographic by image tuples.
-
-    Pairs with equal components are kept only at degree 2, the one degree
-    where such a pair still generates.
-    """
-    return tuple(generating_pairs(n))
+    """All ordered generating pairs of S_n, lexicographic by image tuples:
+    the bases of basis_orbits(n)."""
+    return tuple(basis for basis, _, _ in basis_orbits(n))
 
 
 @dataclass(frozen=True)
@@ -416,7 +412,7 @@ def _judge_one(b1: Basis, b2: Basis, fmask: int, gmask: int, op: BoolFn,
 
 def exhaustive_instance_count(config: CampaignConfig) -> int:
     m, n = config.m, config.n
-    return (len(enumerate_bases(m)) * len(enumerate_bases(n))
+    return (len(basis_orbits(m)) * len(basis_orbits(n))
             * ((1 << m) - 2) * ((1 << n) - 2) * len(config.resolved_ops()))
 
 
@@ -453,14 +449,13 @@ def verify_theorem1(
 
 
 def _relabelled_offsets(degree: int, stride: int):
-    """(representative index, text, offsets, r^-1(0)) for each basis of
-    enumerate_bases(degree), where offsets[F - 1] is stride * (r^-1 F - 1)
-    for each proper finals mask F and basis == r * rep * r^-1."""
-    bases = enumerate_bases(degree)
+    """(basis, representative index, text, offsets, r^-1(0)) for each
+    entry (basis, rep, r) of basis_orbits(degree), where offsets[F - 1] is
+    stride * (r^-1 F - 1) for each proper finals mask F."""
     table = []
-    for basis, (rep, r) in zip(bases, conjugation_orbits(bases)):
+    for basis, rep, r in basis_orbits(degree):
         img = r.image
-        table.append((rep, str(basis), tuple(
+        table.append((basis, rep, str(basis), tuple(
             stride * (sum(1 << q for q in range(degree) if mask >> img[q] & 1)
                       - 1)
             for mask in range(1, (1 << degree) - 1)), img.index(0)))
@@ -496,14 +491,13 @@ def _sweep(config: CampaignConfig, result: CampaignResult,
     positions = list(range(len(combos[0])))
     left = _relabelled_offsets(m, ((1 << n) - 2) * k)
     right = _relabelled_offsets(n, k)
-    bases1, bases2 = enumerate_bases(m), enumerate_bases(n)
     judged = {}  # (rep1, rep2, product state) -> (conjugate, connected), entry
     picks = {}
-    for b1, (rep1, b1_text, f_offsets, i0) in zip(bases1, left):
-        for b2, (rep2, b2_text, g_offsets, j0) in zip(bases2, right):
+    for b1, rep1, b1_text, f_offsets, i0 in left:
+        for b2, rep2, b2_text, g_offsets, j0 in right:
             cached = judged.get((rep1, rep2, i0 * n + j0))
             if cached is None:
-                ctx = _PairContext(bases1[rep1], bases2[rep2], i0 * n + j0)
+                ctx = _PairContext(left[rep1][0], right[rep2][0], i0 * n + j0)
                 cached = ctx.head[4:], _Judged(ctx, combos[0])
                 for state in ctx.reachable:
                     judged[rep1, rep2, state] = cached

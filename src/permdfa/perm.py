@@ -28,7 +28,7 @@ from .errors import (
     NotAPermutationError,
 )
 
-# Generating pairs are found by testing all (n!)^2 ordered pairs.
+# Generating pairs are found by scanning all (n!)^2 ordered pairs.
 MAX_ENUMERATION_DEGREE = 5
 
 
@@ -485,41 +485,42 @@ def bases_conjugate(b1: Basis, b2: Basis) -> Optional[Perm]:
     return None if found is None else Perm(found)
 
 
-def conjugation_orbits(bases: Sequence[Basis]) -> list[tuple[int, Perm]]:
-    """(index of its orbit's first basis, r) for each of the bases, with
-    basis == r * first * r^-1, for S_n acting on the listed bases by
-    conjugation.
-
-    The first basis of an orbit carries the identity. Conjugates missing from
-    the list are skipped. Below degree 3 a basis can have several such r;
-    the lexicographically first is kept.
-    """
-    index = {(b.s.image, b.t.image): i for i, b in enumerate(bases)}
-    table: list = [None] * len(bases)
-    for i, first in enumerate(bases):
-        if table[i] is None:
-            for r in map(Perm, itertools.permutations(range(first.degree))):
-                j = index.get((conjugate(r, first.s).image,
-                               conjugate(r, first.t).image))
-                if j is not None and table[j] is None:
-                    table[j] = (i, r)
-    return table
-
-
-def generating_pairs(n: int) -> Iterator[Basis]:
+@lru_cache(maxsize=None)
+def basis_orbits(n: int) -> tuple[tuple[Basis, int, Perm], ...]:
     """Every ordered pair (s, t) with <s, t> = S_n, lexicographic by image
-    tuples. Pairs with s == t are kept only at degree 2, where (s, s) with s
-    the transposition generates; degree 1 yields none, although (id, id)
-    generates S_1 trivially."""
+    tuples, as (basis, index of its orbit's first basis, r) with
+    basis == r * first * r^-1, for S_n acting on the pairs by conjugation.
+
+    The scan meets an orbit at its first pair, which alone takes the
+    generation test: conjugation is an automorphism of S_n. Each conjugate
+    keeps the first r in itertools.permutations order, the identity for the
+    first pair; below degree 3 a basis has several. Pairs with s == t are
+    kept only at degree 2, where (s, s) with s the transposition generates;
+    degree 1 has none, although (id, id) generates S_1 trivially.
+    """
     if n < 1:
         raise ValueError("degree must be at least 1")
     if n > MAX_ENUMERATION_DEGREE:
         raise CapExceededError(
             f"generating-pair enumeration is limited to degree {MAX_ENUMERATION_DEGREE}")
-    perms = [Perm(p) for p in itertools.permutations(range(n))]
+    perms = [Perm._trusted(p) for p in itertools.permutations(range(n))]
+    # each r with the image tuple of r * g * r^-1 for every image tuple g
+    relabellings = [(r, {g.image: conjugate(r, g).image for g in perms})
+                    for r in perms]
+    seen: dict = {}  # (s, t) images -> (first, r), or None if not generating
+    table = []
     for s in perms:
         for t in perms:
             if s is t and n != 2:
                 continue
-            if _images_generate_symmetric([s.image, t.image], n):
-                yield Basis._trusted(s, t)
+            key = (s.image, t.image)
+            if key not in seen:
+                first = len(table) if _images_generate_symmetric(key, n) else None
+                for r, conjugates in relabellings:
+                    image = (conjugates[s.image], conjugates[t.image])
+                    if image not in seen:
+                        seen[image] = None if first is None else (first, r)
+            orbit = seen[key]
+            if orbit is not None:
+                table.append((Basis._trusted(s, t), *orbit))
+    return tuple(table)

@@ -207,6 +207,15 @@ class TestVerify:
                     "--ops", "frobnicate")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("ops", ["", ","])
+    def test_empty_ops_rejected(self, ops):
+        # an empty list given on purpose is an error, not the default
+        r = run_cli("verify", "--m", "2", "--n", "2", "--exhaustive",
+                    "--ops", ops)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == "error: no operations given\n"
+
     def test_improper_op(self):
         r = run_cli("verify", "--m", "2", "--n", "2", "--exhaustive",
                     "--ops", "0000")
@@ -276,6 +285,11 @@ class TestPinnedReports:
          "81bd4fe1c068f2e5171d133f4512cc769021a56bfd7c42df89f48bd788170e4d",
          "summary: total=9144576 pass=9144576 exception-expected=0 fail=0"
          " conjugate=1016064"),
+        # The first degree-5 exhaustive report: 6,840 bases on the right.
+        (("--m", "2", "--n", "5", "--exhaustive", "--ops", "and"),
+         "f6a9cfe1c5cde2708151c8c28f93f3ebafadffb65f8ff7c5ff2cebf8dc0a711c",
+         "summary: total=1231200 pass=1231200 exception-expected=0 fail=0"
+         " conjugate=0"),
     ])
     def test_report_digest(self, tmp_path, args, sha256, summary):
         out = tmp_path / "report.tsv"

@@ -17,7 +17,7 @@ import pytest
 from permdfa import Basis, BoolFn, CapExceededError, TwoPathDisagreement
 from permdfa import Perm, automaton, bases_conjugate, conjugate, harness
 from permdfa import direct_product, from_basis
-from permdfa.perm import conjugation_orbits
+from permdfa.perm import basis_orbits
 from permdfa.automaton import finals_to_mask
 from permdfa.harness import (
     CampaignConfig,
@@ -437,10 +437,11 @@ class TestComplementMemo:
 
     @pytest.fixture
     def one_pair(self, monkeypatch):
-        # the 3x4 pair of TestPinnedInstances, which has shortfalls
-        pairs = {3: (TestPinnedInstances.B34_LEFT,),
-                 4: (TestPinnedInstances.B34_RIGHT,)}
-        monkeypatch.setattr(harness, "enumerate_bases", pairs.__getitem__)
+        # the 3x4 pair of TestPinnedInstances, which has shortfalls, each
+        # basis the only one of its orbit
+        tables = {3: ((TestPinnedInstances.B34_LEFT, 0, Perm.identity(3)),),
+                  4: ((TestPinnedInstances.B34_RIGHT, 0, Perm.identity(4)),)}
+        monkeypatch.setattr(harness, "basis_orbits", tables.__getitem__)
         return CampaignConfig(3, 4)
 
     @pytest.fixture
@@ -527,11 +528,12 @@ class _RowPicker:
     def write(self, text):
         count = text.count("\n")
         start, self.next = self.next, self.next + count
-        k = bisect.bisect_left(self.wanted, start)
-        if k < len(self.wanted) and self.wanted[k] < self.next:
-            for index, row in enumerate(text.splitlines(), start):
-                if index in self.wanted:
-                    self.rows[index] = row
+        lo = bisect.bisect_left(self.wanted, start)
+        hi = bisect.bisect_left(self.wanted, self.next, lo)
+        if lo < hi:
+            rows = text.splitlines()
+            for index in self.wanted[lo:hi]:
+                self.rows[index] = rows[index - start]
 
 
 class _DigestStream:
@@ -553,19 +555,19 @@ class TestOrbitReduction:
     @pytest.mark.parametrize("degree,orbits,size", [
         (2, 3, 1), (3, 3, 6), (4, 9, 24)])
     def test_orbit_structure(self, degree, orbits, size):
-        bases = enumerate_bases(degree)
-        table = conjugation_orbits(bases)
+        table = basis_orbits(degree)
         members = collections.defaultdict(list)
-        for basis, (rep, r) in zip(bases, table):
+        for basis, rep, r in table:
+            first = table[rep][0]
             members[rep].append(basis)
-            assert table[rep] == (rep, Perm.identity(degree))
-            assert basis == Basis(conjugate(r, bases[rep].s),
-                                  conjugate(r, bases[rep].t))
+            assert table[rep][1:] == (rep, Perm.identity(degree))
+            assert basis == Basis(conjugate(r, first.s), conjugate(r, first.t))
             if degree >= 3:
-                assert bases_conjugate(bases[rep], basis) == r
+                assert bases_conjugate(first, basis) == r
         assert sorted(map(len, members.values())) == [size] * orbits
         # a representative comes first in its orbit
-        assert all(group[0] is bases[rep] for rep, group in members.items())
+        assert all(group[0] is table[rep][0]
+                   for rep, group in members.items())
 
     @pytest.mark.parametrize("m,n,ops", UNREDUCED_SWEEPS)
     def test_result_equals_unreduced_tally(self, m, n, ops):
@@ -604,12 +606,11 @@ class TestOrbitReduction:
     def test_sampled_relabelled_rows_equal_unreduced_rows(self):
         # 500 seeded rows of the ten-operation 3x4 sweep, all from pairs
         # that reuse their representative's verdicts
-        left = conjugation_orbits(enumerate_bases(3))
-        right = conjugation_orbits(enumerate_bases(4))
+        left, right = basis_orbits(3), basis_orbits(4)
         per_pair = 6 * 14 * 10
         pairs = [i * len(right) + j
                  for i in range(len(left)) for j in range(len(right))
-                 if (left[i][0], right[j][0]) != (i, j)]
+                 if (left[i][1], right[j][1]) != (i, j)]
         rng = random.Random(5)
         wanted = {rng.choice(pairs) * per_pair + rng.randrange(per_pair)
                   for _ in range(500)}
@@ -624,11 +625,11 @@ class TestOrbitReduction:
         # 200 seeded rows of the and-only 4x4 sweep, all from conjugate
         # pairs: half relabelled to start on the diagonal of their
         # representative (r^-1(0) = s^-1(0)), half off it
-        table = conjugation_orbits(enumerate_bases(4))
+        table = basis_orbits(4)
         per_pair = 14 * 14
         starts = ([], [])  # pair indices off and on the diagonal
-        for i, (rep1, r) in enumerate(table):
-            for j, (rep2, s) in enumerate(table):
+        for i, (_, rep1, r) in enumerate(table):
+            for j, (_, rep2, s) in enumerate(table):
                 if rep1 == rep2:
                     starts[r.image.index(0) == s.image.index(0)].append(
                         i * len(table) + j)

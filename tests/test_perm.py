@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -23,8 +24,9 @@ from permdfa import (
     parse_cycles,
     transition_semigroup,
 )
+from permdfa import perm
 from permdfa.harness import enumerate_bases
-from permdfa.perm import CapExceededError, _closure_images, generating_pairs
+from permdfa.perm import CapExceededError, _closure_images, basis_orbits
 
 
 def perms(degree):
@@ -469,12 +471,67 @@ class TestGenerationAgainstReferences:
         assert outcomes == {True, False}
 
 
+def generating_pairs_by_scan(n):
+    """Reference: every ordered pair (s, t) that generates S_n, s == t only
+    at degree 2, each tested on its own, lexicographic by image tuples."""
+    perms_n = [Perm(p) for p in itertools.permutations(range(n))]
+    return [Basis(s, t) for s in perms_n for t in perms_n
+            if (s != t or n == 2) and generates_symmetric([s, t])]
+
+
+def orbits_by_search(bases):
+    """Reference: (index of its orbit's first basis, r) for each of the
+    bases, found by conjugating each orbit's first basis by all n!
+    permutations in order; each basis keeps the first r that reaches it."""
+    index = {b: i for i, b in enumerate(bases)}
+    table = [None] * len(bases)
+    for i, first in enumerate(bases):
+        if table[i] is None:
+            for r in map(Perm, itertools.permutations(range(first.degree))):
+                j = index[first.conjugated(r)]
+                if table[j] is None:
+                    table[j] = (i, r)
+    return table
+
+
 class TestCounting:
     def test_counts(self):
-        counts = {n: sum(1 for _ in generating_pairs(n)) for n in (1, 2, 3, 4, 5)}
+        counts = {n: len(basis_orbits(n)) for n in (1, 2, 3, 4, 5)}
         assert counts == {1: 0, 2: 3, 3: 18, 4: 216, 5: 6840}
-        assert sum(1 for b in generating_pairs(2) if b.s != b.t) == 2
+        assert sum(1 for b, _, _ in basis_orbits(2) if b.s != b.t) == 2
 
     def test_cap(self):
-        with pytest.raises(CapExceededError):
-            next(generating_pairs(6))
+        with pytest.raises(ValueError):
+            basis_orbits(0)
+        with pytest.raises(CapExceededError,
+                           match="enumeration is limited to degree 5$"):
+            basis_orbits(6)
+
+
+class TestBasisOrbits:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_equals_scan_and_search(self, n):
+        bases = generating_pairs_by_scan(n)
+        table = basis_orbits(n)
+        assert [b for b, _, _ in table] == bases
+        assert [(rep, r) for _, rep, r in table] == orbits_by_search(bases)
+
+    def test_one_generation_test_per_orbit(self, monkeypatch):
+        # every orbit of pairs with s != t, generating or not, is tested
+        # once, at its first pair
+        calls = collections.Counter()
+        real = perm._images_generate_symmetric
+
+        def counting(images, degree):
+            calls[degree] += 1
+            return real(images, degree)
+
+        monkeypatch.setattr(perm, "_images_generate_symmetric", counting)
+        try:
+            for n in (3, 4, 5):
+                basis_orbits.cache_clear()
+                assert len({rep for _, rep, _ in basis_orbits(n)}) == {
+                    3: 3, 4: 9, 5: 57}[n]
+        finally:
+            basis_orbits.cache_clear()
+        assert calls == {3: 8, 4: 38, 5: 154}
