@@ -13,20 +13,6 @@ from .errors import AutomatonFormatError, CycleFormatError, NotAPermutationError
 from .perm import _closure_images, _point_orbit, parse_cycles
 
 
-def _checked_letters(alphabet: Sequence[str]) -> tuple[str, ...]:
-    """The alphabet as a tuple, after checking that its letters are nonempty,
-    distinct and free of whitespace and '#'."""
-    letters = tuple(alphabet)
-    if not letters:
-        raise ValueError("alphabet must not be empty")
-    if len(set(letters)) != len(letters):
-        raise ValueError("alphabet letters must be distinct")
-    for letter in letters:
-        if not letter or any(c.isspace() for c in letter) or "#" in letter:
-            raise ValueError(f"bad letter {letter!r}")
-    return letters
-
-
 class Semiautomaton:
     """States 0..n-1, an ordered alphabet, one total letter action each, and
     an initial state."""
@@ -42,7 +28,14 @@ class Semiautomaton:
     ):
         if state_count < 1:
             raise ValueError("need at least one state")
-        letters = _checked_letters(alphabet)
+        letters = tuple(alphabet)
+        if not letters:
+            raise ValueError("alphabet must not be empty")
+        if len(set(letters)) != len(letters):
+            raise ValueError("alphabet letters must be distinct")
+        for letter in letters:
+            if not letter or any(c.isspace() for c in letter) or "#" in letter:
+                raise ValueError(f"bad letter {letter!r}")
         if set(actions) != set(letters):
             raise ValueError("actions must cover exactly the alphabet")
         fixed: dict[str, tuple[int, ...]] = {}
@@ -64,7 +57,7 @@ class Semiautomaton:
     @classmethod
     def _trusted(cls, state_count: int, alphabet: tuple[str, ...],
                  actions: dict[str, tuple[int, ...]], initial: int):
-        """A semiautomaton from checked letters and image tuples already
+        """A semiautomaton from valid letters and image tuples already
         known to map the states into themselves, unchecked."""
         out = object.__new__(cls)
         out.state_count = state_count
@@ -104,23 +97,17 @@ class DFA(Semiautomaton):
         self.finals = fset
 
 
-def from_basis(basis, alphabet: Sequence[str] = ("a", "b"), initial: int = 0) -> Semiautomaton:
-    """The semiautomaton whose first letter acts as s and second as t.
+def from_basis(basis, initial: int = 0) -> Semiautomaton:
+    """The semiautomaton whose letter a acts as s and letter b as t.
 
     The basis's images are already checked permutations of its degree, so
-    only the letters and the initial state are checked here.
+    only the initial state is checked here.
     """
-    letters = _checked_letters(alphabet)
-    if len(letters) != 2:
-        raise ValueError("a basis automaton has exactly two letters")
     if not 0 <= initial < basis.degree:
         raise ValueError(f"initial state {initial} out of range")
     return Semiautomaton._trusted(
-        basis.degree,
-        letters,
-        {letters[0]: basis.s.image, letters[1]: basis.t.image},
-        initial,
-    )
+        basis.degree, ("a", "b"), {"a": basis.s.image, "b": basis.t.image},
+        initial)
 
 
 def run(a: Semiautomaton, word: Iterable[str], start: Optional[int] = None) -> int:
@@ -168,37 +155,21 @@ def moore_classes(
     and the number of classes. Class ids follow first occurrence along
     ascending states, so id order is smallest-member order.
     """
-    cls = [-1] * state_count
-    ids: dict = {}
-    for q in reachable:
-        key = (finals_mask >> q) & 1
-        c = ids.get(key)
-        if c is None:
-            c = ids[key] = len(ids)
-        cls[q] = c
-    k = len(ids)
+    # The final bits are round 0's classes; k = -1 makes the first round
+    # run, and it turns them into first-occurrence ids.
+    cls = [finals_mask >> q & 1 for q in range(state_count)]
+    k = -1
     nreach = len(reachable)
-    if len(actions) == 2:
-        a0, a1 = actions
-        while k < nreach:
-            ids = {}
-            new = [-1] * state_count
-            for q in reachable:
-                key = (cls[q], cls[a0[q]], cls[a1[q]])
-                c = ids.get(key)
-                if c is None:
-                    c = ids[key] = len(ids)
-                new[q] = c
-            if len(ids) == k:
-                return new, k
-            cls = new
-            k = len(ids)
-        return cls, k
+    # Two letters get their own key: the generic one is slower per call.
+    a0, a1 = actions if len(actions) == 2 else (None, None)
     while k < nreach:
-        ids = {}
+        ids: dict = {}
         new = [-1] * state_count
         for q in reachable:
-            key = (cls[q],) + tuple(cls[act[q]] for act in actions)
+            if a0 is None:
+                key = (cls[q], *[cls[act[q]] for act in actions])
+            else:
+                key = (cls[q], cls[a0[q]], cls[a1[q]])
             c = ids.get(key)
             if c is None:
                 c = ids[key] = len(ids)

@@ -195,20 +195,17 @@ class CampaignResult:
     n_exception: int = 0
     n_conjugate: int = 0
     below_mn: int = 0
-    conjugate_attained: Optional[bool] = None
     first_fail: Optional[VerificationRecord] = None
 
     @property
     def ok(self) -> bool:
         return self.n_fail == 0
 
-    def _add(self, tallies, attained: Optional[bool]) -> None:
-        """Add a tally; attained is None when it has no conjugate rows."""
+    def _add(self, tallies) -> None:
+        """Add a tally, its counts in _TALLIES order."""
         counts = vars(self)
         for name, value in zip(_TALLIES, tallies):
             counts[name] += value
-        if attained is not None and self.conjugate_attained is not True:
-            self.conjugate_attained = attained
 
     def summary(self) -> str:
         return (
@@ -312,12 +309,11 @@ class _Judged:
     the verdicts (as _judge_mask gives them) in combo order, their verdict
     texts, and one tally of them.
 
-    The tally: the counts in _TALLIES order, reached_n (a conjugate pair's
-    oracle reached n; None if not conjugate) and disagree_at, the index of
-    the disagreement that ends judging.
+    The tally holds the counts in _TALLIES order; disagree_at is the index
+    of the disagreement that ends judging, or None.
     """
 
-    __slots__ = ("verdicts", "texts", "tally", "reached_n", "disagree_at")
+    __slots__ = ("verdicts", "texts", "tally", "disagree_at")
 
     def __init__(self, ctx: _PairContext, choices):
         full = (1 << ctx.mn) - 1
@@ -340,7 +336,6 @@ class _Judged:
             count if ctx.conjugate else 0,
             # below_mn counts non-conjugate rows; no count exceeds m*n
             0 if ctx.conjugate else count - oracles.count(ctx.mn))
-        self.reached_n = ctx.n in oracles if ctx.conjugate else None
         self.disagree_at = len(verdicts) - 1 if verdicts[-1][3] else None
 
 
@@ -362,7 +357,7 @@ def _emit(head, combos, entry: _Judged, pick: Optional[itemgetter],
         prefix = _row_prefix(*head)
         out.write(prefix + prefix.join(map(
             add, texts, entry.texts if pick is None else pick(entry.texts))))
-    result._add(entry.tally, entry.reached_n)
+    result._add(entry.tally)
     n_fail = entry.tally[3]
     if sink is None and not n_fail:
         return
@@ -653,7 +648,6 @@ def _fork_range(config: CampaignConfig, children: dict, rows: bool,
         payload = memoryview(marshal.dumps((
             buf.getvalue() if rows else "",
             [getattr(part, name) for name in _TALLIES],
-            part.conjugate_attained,
             None if fail is None else astuple(fail),
             disagreement)))
         while payload:
@@ -689,10 +683,10 @@ def _merge_range(result: CampaignResult, out: Optional[TextIO],
                  payload) -> None:
     """Write a child's rows and add its range to result as _emit would have,
     raising its TwoPathDisagreement after its rows."""
-    text, tallies, attained, fail, disagreement = payload
+    text, tallies, fail, disagreement = payload
     if out is not None:
         out.write(text)
-    result._add(tallies, attained)
+    result._add(tallies)
     if fail is not None and result.first_fail is None:
         result.first_fail = VerificationRecord(*fail[:8], BoolFn(*fail[8]),
                                                *fail[9:])

@@ -36,7 +36,8 @@ def _pair_text(u: int, v: int, right_count: int) -> str:
 
 
 class ProductAutomaton(Semiautomaton):
-    """Componentwise product of two semiautomata over the same alphabet.
+    """Componentwise product of two semiautomata over the same letters, in
+    the left factor's order.
 
     Both factors were checked when they were built, so the product's letter
     actions, which map (i, j) to (left(i), right(j)), are not checked again.
@@ -45,7 +46,7 @@ class ProductAutomaton(Semiautomaton):
     __slots__ = ("left_count", "right_count")
 
     def __init__(self, left: Semiautomaton, right: Semiautomaton):
-        if left.alphabet != right.alphabet:
+        if set(left.alphabet) != set(right.alphabet):
             raise ValueError(
                 f"alphabets differ: {left.alphabet!r} vs {right.alphabet!r}"
             )

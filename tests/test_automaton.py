@@ -73,6 +73,11 @@ class TestConstruction:
             Semiautomaton(1, ("a", "a"), {"a": (0,)})
         with pytest.raises(ValueError):
             Semiautomaton(1, ("a b",), {"a b": (0,)})
+        with pytest.raises(ValueError, match="distinct"):
+            Semiautomaton(3, ("a", "a"), {"a": B3.s.image})
+        with pytest.raises(ValueError, match="bad letter"):
+            Semiautomaton(3, ("a", "b c"),
+                          {"a": B3.s.image, "b c": B3.t.image})
 
     def test_dfa_finals(self):
         d = DFA(2, ("a",), {"a": (1, 0)}, 0, {1})
@@ -88,14 +93,9 @@ class TestConstruction:
         assert a.actions["a"] == (1, 2, 0)
         assert a.actions["b"] == (1, 0, 2)
         a.require_permutations()
-        # the basis's images come unchecked from the basis; everything else
-        # is still checked
-        with pytest.raises(ValueError):
-            from_basis(B3, alphabet=("a", "a"))
-        with pytest.raises(ValueError):
-            from_basis(B3, alphabet=("a", "b c"))
-        with pytest.raises(ValueError):
-            from_basis(B3, alphabet=("a", "b", "c"))
+        assert from_basis(B3, initial=2).initial == 2
+        # the basis's images come unchecked from the basis; the initial
+        # state is still checked
         with pytest.raises(ValueError):
             from_basis(B3, initial=3)
 

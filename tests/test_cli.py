@@ -119,6 +119,26 @@ class TestComplexity:
                     "--op", "and", "--table", "0001")
         assert r.returncode == 2
 
+    def test_right_letters_in_any_order(self, tmp_path):
+        # every trans line names its letter, so the order of the alphabet
+        # line carries no meaning
+        left = tmp_path / "left.aut"
+        left.write_text("states 3\nalphabet a b\ntrans a (0,1,2)\n"
+                        "trans b (0,1)\ninitial 0\nfinal 0 1\n")
+        outputs = []
+        for letters in ("a b", "b a"):
+            right = tmp_path / "right.aut"
+            right.write_text(f"states 4\nalphabet {letters}\n"
+                             "trans a (0,1)\ntrans b (1,3,2)\ninitial 0\n"
+                             "final 0 1\n")
+            for command in ("complexity", "pairgraph"):
+                r = run_cli(command, "--left", str(left),
+                            "--right", str(right), "--op", "xor")
+                assert (r.returncode, r.stderr) == (0, "")
+                outputs.append(r.stdout)
+        assert outputs[0] == "12\n"
+        assert outputs[2:] == outputs[:2]
+
     def test_missing_file(self, automata, tmp_path):
         r = run_cli("complexity", "--left", str(tmp_path / "nope.aut"),
                     "--right", automata["right"], "--op", "and")

@@ -77,9 +77,18 @@ class TestDirectProduct:
 
     def test_alphabet_mismatch(self):
         left = from_basis(B2)
-        right = from_basis(B3, alphabet=("x", "y"))
-        with pytest.raises(ValueError):
+        right = Semiautomaton(3, ("x", "y"),
+                              {"x": B3.s.image, "y": B3.t.image})
+        with pytest.raises(ValueError, match="alphabets differ"):
             direct_product(left, right)
+
+    def test_alphabet_order_is_the_left_factors(self):
+        # actions are keyed by letter, so the right factor's order of the
+        # same letters carries no meaning
+        right = Semiautomaton(3, ("b", "a"), from_basis(B3).actions)
+        p = direct_product(from_basis(B2), right)
+        assert p.alphabet == ("a", "b")
+        assert p.actions == product_23().actions
 
     def test_flat_final_set(self):
         got = flat_final_set(BoolFn.by_name("and"), {0}, 2, {0, 1}, 3)

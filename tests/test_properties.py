@@ -6,6 +6,7 @@ whole file is budgeted to stay well under two minutes.
 
 import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -29,7 +30,12 @@ from permdfa import (
     reachable_states,
     transition_semigroup,
 )
-from permdfa.automaton import finals_to_mask, mask_states, moore_complexity
+from permdfa.automaton import (
+    finals_to_mask,
+    mask_states,
+    moore_classes,
+    moore_complexity,
+)
 from permdfa.harness import enumerate_bases
 from permdfa.product import all_distinguished
 
@@ -130,7 +136,81 @@ def _random_dfa(rng):
     return DFA(states, letters, actions, 0, finals)
 
 
+def _marked_classes(actions, start, finals, states):
+    """The class list and count that moore_classes should give, by pairwise
+    marking: a pair of reachable states is distinct when exactly one is
+    final or some letter carries it to a distinct pair. Classes are numbered
+    by smallest member, and unreachable states get -1."""
+    reach = {start}
+    stack = [start]
+    while stack:
+        q = stack.pop()
+        for act in actions:
+            if act[q] not in reach:
+                reach.add(act[q])
+                stack.append(act[q])
+    reach = sorted(reach)
+    distinct = {(p, q) for p in reach for q in reach
+                if (p in finals) != (q in finals)}
+    changed = True
+    while changed:
+        changed = False
+        for p in reach:
+            for q in reach:
+                if (p, q) not in distinct and any(
+                        (act[p], act[q]) in distinct for act in actions):
+                    distinct.add((p, q))
+                    changed = True
+    classes = [-1] * states
+    count = 0
+    for p in reach:
+        if classes[p] < 0:
+            for q in reach:
+                if (p, q) not in distinct:
+                    classes[q] = count
+            count += 1
+    return classes, count
+
+
+def _moore_classes_of(actions, start, finals, states):
+    reach = reachable_states(DFA(
+        states, "abc"[:len(actions)], dict(zip("abc", actions)), start, ()))
+    return moore_classes(actions, reach, finals_to_mask(finals), states)
+
+
 class TestMinimizationOracles:
+    @pytest.mark.parametrize("letters", [1, 2, 3])
+    def test_class_vector_equals_pairwise_marking(self, letters):
+        # random total maps, most of them not bijective, from random starts
+        rng = random.Random(2024 + letters)
+        for _ in range(300):
+            states = rng.randrange(1, 13)
+            actions = [tuple(rng.randrange(states) for _ in range(states))
+                       for _ in range(letters)]
+            start = rng.randrange(states)
+            finals = {q for q in range(states) if rng.random() < 0.5}
+            assert (_moore_classes_of(actions, start, finals, states)
+                    == _marked_classes(actions, start, finals, states))
+
+    @pytest.mark.parametrize("actions,start,finals,expected", [
+        # one reachable state: the start is fixed by every letter
+        ([(1, 1, 0)], 1, {1}, ([-1, 0, -1], 1)),
+        ([(0, 0, 2), (2, 1, 2), (1, 0, 2)], 2, set(), ([-1, -1, 0], 1)),
+        # empty and full final sets
+        ([(1, 2, 0), (1, 0, 0)], 0, set(), ([0, 0, 0], 1)),
+        ([(1, 2, 0), (1, 0, 2)], 0, {0, 1, 2}, ([0, 0, 0], 1)),
+        # singletons: a cycle with one final state
+        ([(1, 2, 3, 0)], 0, {2}, ([0, 1, 2, 3], 4)),
+        ([(1, 2, 3, 0), (0, 0, 0, 0), (3, 2, 1, 0)], 0, {0},
+         ([0, 1, 2, 3], 4)),
+        # unreachable states among merged classes
+        ([(2, 2, 4, 4, 2), (4, 0, 2, 0, 4)], 0, {2, 4}, ([0, -1, 1, -1, 1], 2)),
+    ])
+    def test_class_vector_cases(self, actions, start, finals, expected):
+        states = len(actions[0])
+        assert _marked_classes(actions, start, finals, states) == expected
+        assert _moore_classes_of(actions, start, finals, states) == expected
+
     def test_partition_and_pairwise_routes_agree(self):
         # Moore refinement and pairwise marking are written independently;
         # they must produce the same count on anything we throw at them.
