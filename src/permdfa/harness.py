@@ -1,11 +1,12 @@
 """Verification campaigns over products of basis automata.
 
 Every instance is judged by two independent routes: the structural
-prediction (connectivity of the product plus distinguishing pairs in the
-pair graph) and the Moore minimization oracle.  The two must agree that an
-instance is minimal exactly when the oracle count equals m*n, and every
-count below m*n is recomputed by the table-filling oracle; a disagreement
-aborts the whole campaign, because it would mean one of the routes is wrong.
+prediction (connectivity of the product, then product.all_distinguished's
+search for a distinguishing pair in every pair-graph component) and the
+Moore minimization oracle.  The two must agree that an instance is minimal
+exactly when the oracle count equals m*n, and every count below m*n is
+recomputed by the table-filling oracle; a disagreement aborts the whole
+campaign, because it would mean one of the routes is wrong.
 
 A campaign judges a basis pair on its combos, the (F, F', op) choices of
 its rows, into an entry (_Judged) that holds the verdicts and their tally,
@@ -65,7 +66,6 @@ from .product import (
     all_distinguished,
     direct_product,
     flat_final_mask,
-    pair_graph,
     predict_connected,
 )
 from .reproductions import REPRODUCE_IDS, reproduce
@@ -222,10 +222,8 @@ class _PairContext:
     fields of each of the pair's VerificationRecords.
     """
 
-    __slots__ = (
-        "head", "m", "n", "mn", "conjugate", "connected", "product",
-        "actions", "reachable", "conjugate_bound", "components",
-    )
+    __slots__ = ("head", "m", "n", "mn", "conjugate", "connected", "product",
+                 "actions", "reachable", "conjugate_bound")
 
     def __init__(self, b1: Basis, b2: Basis, start: int = 0):
         self.m = b1.degree
@@ -252,8 +250,6 @@ class _PairContext:
                         if (x == y) == diagonal}
             if set(self.reachable) == expected:
                 self.conjugate_bound = len(expected)
-        self.components = (pair_graph(prod).components if self.connected
-                           else None)
         self.head = (self.m, self.n, str(b1), str(b2), self.conjugate,
                      self.connected)
 
@@ -278,7 +274,7 @@ def _judge_mask(ctx: _PairContext, flat: int):
     with Moore, (Moore, table-filling) when the two minimizers do.
     """
     mn = ctx.mn
-    predicted = ctx.connected and all_distinguished(ctx.components, flat)
+    predicted = ctx.connected and all_distinguished(ctx.actions, flat, mn)
     oracle = moore_complexity(ctx.actions, ctx.reachable, flat, mn)
     disagree = None
     if predicted != (oracle == mn):

@@ -3,10 +3,11 @@
 Product state (i, j) sits at flat index i * n + j where n is the right state
 count; flat_final_mask is the one builder of product final sets, and
 all_distinguished the one pair-graph prediction, shared by predict_minimal,
-format_pair_graph and the campaigns. Everything here that walks the pair
-graph requires permutation letter actions and says so loudly when they are
-not. _bool_text, _states_text and _pair_text are the one text form of a
-boolean, a state set and a product-state pair in every report.
+format_pair_graph and the campaigns. It searches each {0, y}'s component
+lazily; pair_graph builds every component, for listings only. pair_graph
+and predict_minimal reject letters that do not act bijectively. _bool_text,
+_states_text and _pair_text are the one text form of a boolean, a state set
+and a product-state pair in every report.
 """
 
 from __future__ import annotations
@@ -209,24 +210,51 @@ def has_distinguishing_pair(component: Sequence[tuple[int, int]], finals: Iterab
     return False
 
 
-def all_distinguished(components: Iterable[Sequence[tuple[int, int]]], mask: int) -> bool:
-    """The pair-graph half of the prediction: every component has a
-    distinguishing pair under the finals mask."""
-    for comp in components:
-        if not has_distinguishing_pair(comp, mask):
+def all_distinguished(actions: Sequence[Sequence[int]], mask: int, state_count: int) -> bool:
+    """Whether every pair-graph component of a connected product of
+    permutation automata holds a distinguishing pair under the finals mask.
+
+    The letters generate a transitive group, so every component holds a
+    pair {0, y}.  From each {0, y} neither distinguishing nor proved, a
+    breadth-first search along the letters stops at the first pair that is,
+    proving all it visited; one that runs out finds an undistinguished
+    component.  mark[u*N+v]: 0 unseen, 1 in this search, 2 proved."""
+    total = state_count
+    pairs = _pair_table(total)[0]
+    final = [mask >> q & 1 for q in range(total)]
+    mark = bytearray(total * total)
+    for y in range(1, total):
+        if final[y] != final[0] or mark[y]:
+            continue
+        mark[y] = 1
+        queue = [y]
+        for key in queue:
+            u, v = pairs[key]
+            for act in actions:
+                a, b = act[u], act[v]
+                img = a * total + b if a < b else b * total + a
+                if final[a] != final[b] or mark[img] == 2:
+                    break
+                if not mark[img]:
+                    mark[img] = 1
+                    queue.append(img)
+            else:
+                continue
+            break  # reached a distinguishing or proved pair
+        else:
             return False
+        for key in queue:
+            mark[key] = 2
     return True
 
 
 def predict_minimal(p: ProductAutomaton, finals: Iterable[int] | int) -> bool:
-    """Structural prediction: connected, and every pair-graph component has a
-    distinguishing pair.
-
-    This route never runs the minimizer; campaigns compare it against the
-    minimization oracle on every instance.
-    """
-    mask = finals_to_mask(finals)
-    return is_connected(p) and all_distinguished(pair_graph(p).components, mask)
+    """Structural prediction: letters act bijectively (else it raises), the
+    product is connected, and every pair-graph component has a
+    distinguishing pair.  It never runs a minimizer."""
+    p.require_permutations()
+    return is_connected(p) and all_distinguished(
+        list(p.actions.values()), finals_to_mask(finals), p.state_count)
 
 
 def predict_connected(left_basis: Basis, right_basis: Basis) -> bool:
@@ -262,6 +290,5 @@ def format_pair_graph(
                 star = " *"
             lines.append(f"  {_pair_text(u, v, p.right_count)}{star}")
     if mask is not None:
-        value = connected and all_distinguished(graph.components, mask)
-        lines.append(f"predicted minimal: {_bool_text(value)}")
+        lines.append(f"predicted minimal: {_bool_text(predict_minimal(p, mask))}")
     return "\n".join(lines) + "\n"

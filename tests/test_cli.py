@@ -316,7 +316,12 @@ class TestPinnedReports:
         r = run_cli("verify", *args, "--out", str(out))
         assert r.returncode == 0
         assert r.stderr == summary + "\n"
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+        # reports reach hundreds of megabytes; hash them 1 MiB at a time
+        digest = hashlib.sha256()
+        with out.open("rb") as fh:
+            while chunk := fh.read(1 << 20):
+                digest.update(chunk)
+        assert digest.hexdigest() == sha256
 
 
 class TestReproduce:

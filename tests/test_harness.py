@@ -16,7 +16,7 @@ import pytest
 
 from permdfa import Basis, BoolFn, CapExceededError, TwoPathDisagreement
 from permdfa import Perm, automaton, bases_conjugate, conjugate, harness
-from permdfa import direct_product, from_basis
+from permdfa import direct_product, from_basis, product
 from permdfa.perm import basis_orbits
 from permdfa.automaton import finals_to_mask
 from permdfa.harness import (
@@ -471,7 +471,7 @@ class TestComplementMemo:
                                                   monkeypatch):
         config = request.getfixturevalue(campaign)
         monkeypatch.setattr(harness, "all_distinguished",
-                            lambda components, flat: False)
+                            lambda actions, flat, state_count: False)
         with pytest.raises(TwoPathDisagreement) as info:
             verify_theorem1(config)
         row = info.value.row.split("\t")
@@ -647,26 +647,34 @@ class TestOrbitReduction:
 
     def test_one_judgement_per_orbit(self, monkeypatch):
         calls = collections.Counter()
-        for name in ("_PairContext", "moore_complexity", "pair_graph"):
-            def counting(*args, _real=getattr(harness, name), _name=name):
+        for module, name in ((harness, "_PairContext"),
+                             (harness, "moore_complexity"),
+                             (harness, "all_distinguished"),
+                             (product, "pair_graph")):
+            def counting(*args, _real=getattr(module, name), _name=name):
                 calls[_name] += 1
                 return _real(*args)
-            monkeypatch.setattr(harness, name, counting)
-        for m, n, ops, total, contexts, moore, graphs in [
+            monkeypatch.setattr(module, name, counting)
+        # Campaigns never build the pair graph: harness does not import
+        # pair_graph, and the counts below hold no pair_graph calls.
+        assert not hasattr(harness, "pair_graph")
+        for m, n, ops, total, contexts, moore, searches in [
             # 27 representative pairs, 21 masks up to complement each
-            (3, 4, ("xor", "xnor"), 653184, 27, 567, 27),
+            (3, 4, ("xor", "xnor"), 653184, 27, 567, 567),
             # 6 connected pair orbits, and 3 conjugate ones with two start
-            # classes each; 45 masks up to complement per context
-            (3, 3, (), 116640, 12, 540, 6),
+            # classes each; 45 masks up to complement per context, searched
+            # in the connected ones
+            (3, 3, (), 116640, 12, 540, 270),
             # 72 connected pair orbits and 9 conjugate ones; 196 masks each
-            (4, 4, ("and",), 9144576, 90, 17640, 72),
+            (4, 4, ("and",), 9144576, 90, 17640, 14112),
         ]:
             calls.clear()
             res = verify_theorem1(CampaignConfig(
                 m, n, ops=tuple(map(BoolFn.by_name, ops))))
             assert res.total == total
             assert calls == {"_PairContext": contexts,
-                             "moore_complexity": moore, "pair_graph": graphs}
+                             "moore_complexity": moore,
+                             "all_distinguished": searches}
 
     def test_disagreement_in_a_relabelled_conjugate_context(
             self, monkeypatch):

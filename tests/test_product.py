@@ -30,7 +30,8 @@ from permdfa import (
     proper_functions,
 )
 from permdfa.harness import enumerate_bases
-from permdfa.product import PairGraph, flat_final_mask
+from permdfa.perm import basis_orbits
+from permdfa.product import PairGraph, all_distinguished, flat_final_mask
 
 B2 = Basis.parse("id;(0,1)", 2)
 B3 = Basis.parse("(0,1,2);(0,1)", 3)
@@ -38,6 +39,13 @@ B3 = Basis.parse("(0,1,2);(0,1)", 3)
 
 def product_23():
     return direct_product(from_basis(B2), from_basis(B3))
+
+
+def _non_bijective_product():
+    # letter a acts as a 6-cycle, so the product is connected
+    a = Semiautomaton(3, ("a", "b"), {"a": (1, 2, 0), "b": (0, 0, 2)})
+    b = Semiautomaton(2, ("a", "b"), {"a": (1, 0), "b": (0, 1)})
+    return direct_product(a, b)
 
 
 def _random_basis(rng, degree):
@@ -242,10 +250,92 @@ class TestPairGraphAgainstUnionFind:
         assert connected == {True, False}
 
     def test_non_bijective_letter_raises(self):
-        a = Semiautomaton(3, ("a", "b"), {"a": (1, 2, 0), "b": (0, 0, 2)})
-        b = Semiautomaton(2, ("a", "b"), {"a": (1, 0), "b": (0, 1)})
         with pytest.raises(NotAPermutationError):
-            pair_graph(direct_product(a, b))
+            pair_graph(_non_bijective_product())
+
+
+def component_scan(components, mask):
+    """Reference: the scan of pair_graph(p).components that
+    all_distinguished replaced."""
+    return all(has_distinguishing_pair(c, mask) for c in components)
+
+
+class TestSearchAgainstComponentScan:
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (3, 4)])
+    def test_every_connected_basis_pair(self, m, n):
+        # Every flat mask of a (F, F', op) choice, one of each complementary
+        # pair: neither answer changes under complement.  Relabelling both
+        # bases renames the components and the set of masks alike, so one
+        # ordered pair per orbit and class of start states (r^-1(0),
+        # s^-1(0)) asks every question the sweep asks, with every state
+        # of the representatives as the search's state 0.
+        full = (1 << (m * n)) - 1
+        masks = {min(flat, flat ^ full) for flat in (
+            flat_final_mask(op, fmask, m, gmask, n)
+            for fmask in range(1, (1 << m) - 1)
+            for gmask in range(1, (1 << n) - 1)
+            for op in proper_functions())}
+        rights = [(from_basis(b), rep, r.image.index(0))
+                  for b, rep, r in basis_orbits(n)]
+        seen = set()
+        answers = set()
+        for b1, rep1, r1 in basis_orbits(m):
+            left = from_basis(b1)
+            for right, rep2, j0 in rights:
+                key = (rep1, r1.image.index(0), rep2, j0)
+                if key in seen:
+                    continue
+                seen.add(key)
+                p = direct_product(left, right)
+                if not is_connected(p):
+                    continue
+                actions = list(p.actions.values())
+                components = pair_graph(p).components
+                for mask in masks:
+                    want = component_scan(components, mask)
+                    assert all_distinguished(actions, mask, m * n) == want, (
+                        b1, right.actions, mask)
+                    answers.add(want)
+        # no connected 2x3 or 3x3 product falls short of m*n
+        assert answers == ({True} if (m, n) in ((2, 3), (3, 3))
+                           else {True, False})
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_seeded_pairs_with_raw_masks(self, n):
+        # Random raw masks, and unions of rows or columns (the flat masks of
+        # an operation that ignores one argument), which leave the rows' or
+        # the columns' component undistinguished.
+        rng = random.Random(n)
+        projections = [BoolFn.by_table(0b0011), BoolFn.by_table(0b0101)]
+        answers = set()
+        tried = 0
+        while tried < 40:
+            p = direct_product(from_basis(_random_basis(rng, n)),
+                               from_basis(_random_basis(rng, n)))
+            if not is_connected(p):
+                continue
+            tried += 1
+            actions = list(p.actions.values())
+            components = pair_graph(p).components
+            masks = [rng.getrandbits(n * n) for _ in range(20)]
+            masks += [flat_final_mask(f, rng.randrange(1, (1 << n) - 1), n,
+                                      rng.randrange(1, (1 << n) - 1), n)
+                      for f in projections]
+            for mask in masks:
+                want = component_scan(components, mask)
+                assert all_distinguished(actions, mask, n * n) == want
+                answers.add(want)
+        assert answers == {True, False}
+
+    def test_predict_minimal_rejects_non_bijective_letter(self):
+        p = _non_bijective_product()
+        assert is_connected(p)
+        with pytest.raises(NotAPermutationError):
+            predict_minimal(p, {0})
+
+    def test_format_pair_graph_rejects_non_bijective_letter(self):
+        with pytest.raises(NotAPermutationError):
+            format_pair_graph(_non_bijective_product(), {0})
 
 
 class TestDistinguishingPairs:

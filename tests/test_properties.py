@@ -241,11 +241,10 @@ class TestComplementInvariance:
         mask = bits & full
         actions = [p.actions[letter] for letter in p.alphabet]
         reach = reachable_states(p)
-        components = pair_graph(p).components
         assert (moore_complexity(actions, reach, mask, m * n)
                 == moore_complexity(actions, reach, full ^ mask, m * n))
-        assert (all_distinguished(components, mask)
-                == all_distinguished(components, full ^ mask))
+        assert (all_distinguished(actions, mask, m * n)
+                == all_distinguished(actions, full ^ mask, m * n))
 
 
 class TestMaskStates:

@@ -16,7 +16,6 @@ OUTSIDE_USE = {
     "equivalence_classes": "the Nerode classes, which the property tests check",
     "evaluate_instance": "the unreduced reference for orbit-reduced campaigns",
     "generates_symmetric": "the generation test on Perms, checked against sympy",
-    "predict_minimal": "the library form of the prediction the campaigns compute",
     "sample_instances": "the sampled campaign without the verify_theorem1 dispatch",
     "verify_theorem2": "the connectivity sweep the acceptance tests run",
 }
