@@ -303,7 +303,7 @@ def parse_automaton_text(text: str) -> Semiautomaton | DFA:
     """Parse the line format into a Semiautomaton, or a DFA when a final line
     is present. Strict: unknown keys, duplicates, missing parts and bad
     indices all raise AutomatonFormatError with the line number."""
-    states_line = alphabet_line = initial_line = final_line = None
+    lines: dict[str, int] = {}  # the line of each key but trans
     states: Optional[int] = None
     alphabet: Optional[tuple[str, ...]] = None
     initial: Optional[int] = None
@@ -317,19 +317,17 @@ def parse_automaton_text(text: str) -> Semiautomaton | DFA:
             continue
         fields = line.split()
         key = fields[0]
+        if key in lines:
+            raise AutomatonFormatError(f"duplicate {key} line", lineno)
+        if key != "trans":
+            lines[key] = lineno
         if key == "states":
-            if states_line is not None:
-                raise AutomatonFormatError("duplicate states line", lineno)
-            states_line = lineno
             if len(fields) != 2 or not fields[1].isdigit():
                 raise AutomatonFormatError("states needs a single count", lineno)
             states = int(fields[1])
             if states < 1:
                 raise AutomatonFormatError("need at least one state", lineno)
         elif key == "alphabet":
-            if alphabet_line is not None:
-                raise AutomatonFormatError("duplicate alphabet line", lineno)
-            alphabet_line = lineno
             if len(fields) < 2:
                 raise AutomatonFormatError("alphabet needs at least one letter", lineno)
             alphabet = tuple(fields[1:])
@@ -340,16 +338,10 @@ def parse_automaton_text(text: str) -> Semiautomaton | DFA:
                 raise AutomatonFormatError("trans needs a letter and a permutation", lineno)
             pending_trans.append((lineno, fields[1], "".join(fields[2:])))
         elif key == "initial":
-            if initial_line is not None:
-                raise AutomatonFormatError("duplicate initial line", lineno)
-            initial_line = lineno
             if len(fields) != 2 or not fields[1].isdigit():
                 raise AutomatonFormatError("initial needs a single state", lineno)
             initial = int(fields[1])
         elif key == "final":
-            if final_line is not None:
-                raise AutomatonFormatError("duplicate final line", lineno)
-            final_line = lineno
             for tok in fields[1:]:
                 if not tok.isdigit():
                     raise AutomatonFormatError(f"bad final state {tok!r}", lineno)
@@ -357,14 +349,11 @@ def parse_automaton_text(text: str) -> Semiautomaton | DFA:
         else:
             raise AutomatonFormatError(f"unknown key {key!r}", lineno)
 
-    if states is None:
-        raise AutomatonFormatError("missing states line")
-    if alphabet is None:
-        raise AutomatonFormatError("missing alphabet line")
-    if initial is None:
-        raise AutomatonFormatError("missing initial line")
+    for key in ("states", "alphabet", "initial"):
+        if key not in lines:
+            raise AutomatonFormatError(f"missing {key} line")
     if not 0 <= initial < states:
-        raise AutomatonFormatError(f"initial state {initial} out of range", initial_line)
+        raise AutomatonFormatError(f"initial state {initial} out of range", lines["initial"])
 
     for lineno, letter, expr in pending_trans:
         if letter not in alphabet:
@@ -382,7 +371,7 @@ def parse_automaton_text(text: str) -> Semiautomaton | DFA:
     if finals is not None:
         for q in finals:
             if q >= states:
-                raise AutomatonFormatError(f"final state {q} out of range", final_line)
+                raise AutomatonFormatError(f"final state {q} out of range", lines["final"])
         return DFA(states, alphabet, trans, initial, finals)
     return Semiautomaton(states, alphabet, trans, initial)
 

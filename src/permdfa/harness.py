@@ -11,10 +11,11 @@ campaign, because it would mean one of the routes is wrong.
 A campaign judges a basis pair on its combos, the (F, F', op) choices of
 its rows, into an entry (_Judged) that holds the verdicts and their tally,
 then emits the entry (_emit): the one place that writes rows, builds
-VerificationRecords and raises TwoPathDisagreement; CampaignResult._add
-adds the tally.  Complementing the product's finals changes neither
-the Nerode partition nor which pair-graph components hold a distinguishing
-pair, so judging a pair judges each {mask, ~mask} once.
+VerificationRecords and raises TwoPathDisagreement (a forked child's rows
+are copied as _emit wrote them there); CampaignResult._add adds the tally.
+Complementing the product's finals changes neither the Nerode partition
+nor which pair-graph components hold a distinguishing pair, so judging a
+pair judges each {mask, ~mask} once.
 
 Exhaustive campaigns judge each orbit of S_m x S_n relabelling both bases
 once per class of start states, at its representative pair; every pair of
@@ -36,7 +37,7 @@ import marshal
 import os
 import random
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, itemgetter
 from typing import Callable, List, Optional, Sequence, TextIO, Tuple
@@ -559,11 +560,14 @@ def _sample(config: CampaignConfig, result: CampaignResult,
     The samples are cut into contiguous ranges, one per CPU the process may
     use and each at least _MIN_SAMPLE_RANGE long.  This process judges the
     first range and streams its rows; a forked child judges each other
-    range (_fork_range), and their rows and tallies are merged in sample
-    order (_merge_range), so the report and result are those of judging
-    every sample here.  A sink takes records in this process, so it gets
-    one range, and so does a process running other threads, where a forked
-    child could inherit a lock that a thread held.
+    range (_fork_range), and its rows and tallies are merged in sample
+    order.  A range whose tallies count a FAIL is judged again here
+    instead, since sample i depends only on (seed, i): _emit then sets
+    first_fail and raises a TwoPathDisagreement at its row.  So the report,
+    result and exceptions are those of judging every sample here.  A sink
+    takes records in this process, so it gets one range, and so does a
+    process running other threads, where a forked child could inherit a
+    lock that a thread held.
     """
     count = config.sample_count
     # a process that started a thread has imported threading
@@ -580,8 +584,14 @@ def _sample(config: CampaignConfig, result: CampaignResult,
         for start, stop in zip(bounds[1:], bounds[2:]):
             _fork_range(config, children, out is not None, start, stop)
         _sample_range(config, result, sink, out, 0, bounds[1])
-        for pid in list(children):
-            _merge_range(result, out, _collect(children, pid))
+        for pid, (_, start, stop) in list(children.items()):
+            text, tallies = _collect(children, pid)
+            if tallies[3]:  # n_fail
+                _sample_range(config, result, None, out, start, stop)
+            else:
+                if out is not None:
+                    out.write(text)
+                result._add(tallies)
     finally:
         # children not reaped yet belong to a campaign that was abandoned
         for pid, (fd, _, _) in children.items():
@@ -613,10 +623,10 @@ def _sample_range(config: CampaignConfig, result: CampaignResult,
 def _fork_range(config: CampaignConfig, children: dict, rows: bool,
                 start: int, stop: int) -> None:
     """Fork a child that judges samples start..stop-1 and sends its range
-    back as one marshal payload: its rows (when rows is set), its tallies,
-    its first FAIL's record fields and its TwoPathDisagreement's arguments.
-    children maps the child's pid to the read end of its pipe and the
-    range."""
+    back as one marshal payload: its rows as _emit wrote them (when rows is
+    set) and its tallies, in _TALLIES order.  A TwoPathDisagreement ends
+    the range; its FAIL is counted.  children maps the child's pid to the
+    read end of its pipe and the range."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -635,17 +645,13 @@ def _fork_range(config: CampaignConfig, children: dict, rows: bool,
         os.close(read_fd)
         part = CampaignResult(config)
         buf = io.StringIO() if rows else None
-        disagreement = None
         try:
             _sample_range(config, part, None, buf, start, stop)
-        except TwoPathDisagreement as exc:
-            disagreement = (exc.row, exc.moore, exc.table_filling)
-        fail = part.first_fail
+        except TwoPathDisagreement:
+            pass  # its FAIL is counted, so the parent judges the range again
         payload = memoryview(marshal.dumps((
             buf.getvalue() if rows else "",
-            [getattr(part, name) for name in _TALLIES],
-            None if fail is None else astuple(fail),
-            disagreement)))
+            [getattr(part, name) for name in _TALLIES])))
         while payload:
             payload = payload[os.write(write_fd, payload):]
         status = 0
@@ -673,21 +679,6 @@ def _collect(children: dict, pid: int):
         return marshal.loads(b"".join(chunks))
     except (EOFError, ValueError, TypeError):
         raise RuntimeError(f"{what} sent a short payload") from None
-
-
-def _merge_range(result: CampaignResult, out: Optional[TextIO],
-                 payload) -> None:
-    """Write a child's rows and add its range to result as _emit would have,
-    raising its TwoPathDisagreement after its rows."""
-    text, tallies, fail, disagreement = payload
-    if out is not None:
-        out.write(text)
-    result._add(tallies)
-    if fail is not None and result.first_fail is None:
-        result.first_fail = VerificationRecord(*fail[:8], BoolFn(*fail[8]),
-                                               *fail[9:])
-    if disagreement is not None:
-        raise TwoPathDisagreement(*disagreement)
 
 
 @dataclass

@@ -281,6 +281,53 @@ final 1
             parse_automaton_text(line)
         assert needle in str(err.value)
 
+    # Every message, with the line it names (None when no line has the
+    # fault); OK is a valid body that each case edits.
+    OK = "states 2\nalphabet a b\ntrans a (0,1)\ntrans b id\ninitial 0\n"
+
+    @pytest.mark.parametrize("text,message,line", [
+        ("states 2\n" + OK, "duplicate states line", 2),
+        ("states 2 3\n", "states needs a single count", 1),
+        ("states x\n", "states needs a single count", 1),
+        ("states 0\n", "need at least one state", 1),
+        (OK + "alphabet a\n", "duplicate alphabet line", 6),
+        ("states 2\nalphabet\n", "alphabet needs at least one letter", 2),
+        ("alphabet a b a\n", "alphabet letters must be distinct", 1),
+        ("states 2\ntrans a\n", "trans needs a letter and a permutation",
+         2),
+        (OK + "initial 1\n", "duplicate initial line", 6),
+        ("initial 0\n" + OK, "duplicate initial line", 6),
+        ("initial 0 1\n", "initial needs a single state", 1),
+        ("initial x\n", "initial needs a single state", 1),
+        (OK + "final 1\nfinal 0\n", "duplicate final line", 7),
+        ("final 1 x\n", "bad final state 'x'", 1),
+        (OK + "bogus 1\n", "unknown key 'bogus'", 6),
+        ("bogus 1\nbogus 1\n", "unknown key 'bogus'", 1),
+        ("", "missing states line", None),
+        ("alphabet a\ninitial 0\n", "missing states line", None),
+        ("states 2\ninitial 0\n", "missing alphabet line", None),
+        ("states 2\nalphabet a\ntrans a id\nfinal 1\n",
+         "missing initial line", None),
+        ("initial 2\n" + OK.replace("initial 0\n", ""),
+         "initial state 2 out of range", 1),
+        (OK + "trans c id\n", "trans names unknown letter 'c'", 6),
+        (OK + "trans a id\n", "duplicate trans line for 'a'", 6),
+        ("states 2\nalphabet a\ntrans a (0,2)\ninitial 0\n",
+         "point 2 is out of range for degree 2", 3),
+        ("states 2\nalphabet a\ntrans a (0,0)\ninitial 0\n",
+         "point 0 appears twice", 3),
+        ("states 2\nalphabet a b\ntrans a id\ninitial 0\n",
+         "missing trans line for letter 'b'", None),
+        ("final 0 2\n" + OK, "final state 2 out of range", 1),
+        (OK + "final 0 5\n", "final state 5 out of range", 6),
+    ])
+    def test_error_message_and_line(self, text, message, line):
+        with pytest.raises(AutomatonFormatError) as err:
+            parse_automaton_text(text)
+        assert err.value.line == line
+        assert str(err.value) == (message if line is None
+                                  else f"line {line}: {message}")
+
     def test_missing_sections(self):
         with pytest.raises(AutomatonFormatError):
             parse_automaton_text("states 2\nalphabet a\ninitial 0\n")

@@ -878,6 +878,33 @@ class TestSplitSamples:
         assert verify_theorem1(config) == serial
         assert len(forks) == cpus - 1
 
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_only_a_failing_range_is_judged_again(self, split, monkeypatch,
+                                                   fail):
+        config = CampaignConfig(5, 5, mode="sample", sample_count=90, seed=1)
+        if fail:
+            records = []
+            verify_theorem1(config, sink=records.append)
+            # a conjugate sample in the third of three ranges
+            target = next(r for r in records[60:] if r.conjugate)
+            _force_counts(monkeypatch, Basis.parse(target.b1, 5),
+                          Basis.parse(target.b2, 5), 24)
+        parent = os.getpid()
+        judged = []
+        real = harness._sample_range
+
+        def recording(config, result, sink, out, start, stop):
+            if os.getpid() == parent:
+                judged.append((start, stop))
+            return real(config, result, sink, out, start, stop)
+
+        monkeypatch.setattr(harness, "_sample_range", recording)
+        forks = split(3)
+        result = verify_theorem1(config)
+        assert len(forks) == 2
+        assert result.n_fail == fail
+        assert judged == ([(0, 30), (60, 90)] if fail else [(0, 30)])
+
     def test_sink_gets_every_record_in_order(self, split):
         forks = split(3)
         config = CampaignConfig(5, 5, mode="sample", sample_count=64, seed=1)
