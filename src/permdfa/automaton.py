@@ -251,7 +251,9 @@ def distinguishability_complexity(d: DFA) -> int:
     """State complexity computed again by the table-filling pair oracle.
 
     Deliberately a second, independent implementation: it never shares code
-    with moore_classes and is used to cross-check it.
+    with moore_classes and is used to cross-check it.  At the fixed point
+    the unmarked pairs (p, q), p < q, are exactly the equivalent pairs, and
+    every state but the smallest of its class is the q of one of them.
     """
     reach = list(reachable_states(d))
     finals = d.finals
@@ -280,19 +282,7 @@ def distinguishability_complexity(d: DFA) -> int:
             else:
                 still.append((p, q))
         unmarked = still
-    parent = {q: q for q in reach}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p, q in unmarked:
-        rp, rq = find(p), find(q)
-        if rp != rq:
-            parent[rq] = rp
-    return len({find(q) for q in reach})
+    return len(reach) - len({q for _, q in unmarked})
 
 
 # ---------------------------------------------------------------------------

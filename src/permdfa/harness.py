@@ -382,6 +382,9 @@ def evaluate_instance(
 ) -> VerificationRecord:
     """Judge a single instance exactly as a campaign would."""
     m, n = b1.degree, b2.degree
+    if not (all(q in range(m) for q in finals_left)
+            and all(q in range(n) for q in finals_right)):
+        raise ValueError("final state out of range")
     fmask = finals_to_mask(finals_left)
     gmask = finals_to_mask(finals_right)
     if not (0 < fmask < (1 << m) - 1) or not (0 < gmask < (1 << n) - 1):

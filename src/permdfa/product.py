@@ -4,15 +4,16 @@ Product state (i, j) sits at flat index i * n + j where n is the right state
 count; flat_final_mask is the one builder of product final sets, and
 all_distinguished the one pair-graph prediction, shared by predict_minimal,
 format_pair_graph and the campaigns. It searches each {0, y}'s component
-lazily; pair_graph builds every component, for listings only. pair_graph
-and predict_minimal reject letters that do not act bijectively. _bool_text,
+lazily; pair_graph builds every component, for listings only. Both key
+the pair {u, v}, u < v, of N product states as u * N + v and decode a key
+by divmod, so nothing is cached per product size. pair_graph and
+predict_minimal reject letters that do not act bijectively. _bool_text,
 _states_text and _pair_text are the one text form of a boolean, a state set
 and a product-state pair in every report.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -127,19 +128,6 @@ class PairGraph:
     components: tuple[tuple[tuple[int, int], ...], ...]
 
 
-@functools.lru_cache(maxsize=None)
-def _pair_table(total: int):
-    """For total states: the pair (u, v) at key u*total+v, a label template
-    that marks every key with u >= v as taken, and all pairs in order."""
-    pairs: list = [None] * (total * total)
-    taken = bytearray(b"\x01") * (total * total)
-    for u in range(total):
-        for v in range(u + 1, total):
-            pairs[u * total + v] = (u, v)
-            taken[u * total + v] = 0
-    return tuple(pairs), bytes(taken), tuple(q for q in pairs if q is not None)
-
-
 def pair_graph(p: ProductAutomaton) -> PairGraph:
     """Components of the pair graph under the per-letter induced maps.
 
@@ -148,19 +136,22 @@ def pair_graph(p: ProductAutomaton) -> PairGraph:
     components. Each is found by a breadth-first search from its smallest
     unlabelled pair, scanning in lexicographic order, so components come
     out ordered by their smallest pair and each pair is labelled once.
+    The label array, whose keys u * N + v with u >= v start taken, and the
+    vertex list are built afresh on each call.
     """
     p.require_permutations()
     total = p.state_count
     acts = list(p.actions.values())
-    pairs, taken, vertices = _pair_table(total)
-    label = bytearray(taken)
+    label = bytearray(b"\x01") * (total * total)
+    for u in range(total):
+        label[u * total + u + 1:(u + 1) * total] = bytes(total - u - 1)
     components = []
     key = label.find(0)
     while key >= 0:
         label[key] = 1
         queue = [key]
         for k in queue:
-            x, y = pairs[k]
+            x, y = divmod(k, total)
             for act in acts:
                 a = act[x]
                 b = act[y]
@@ -169,8 +160,9 @@ def pair_graph(p: ProductAutomaton) -> PairGraph:
                     label[img] = 1
                     queue.append(img)
         queue.sort()
-        components.append(tuple(map(pairs.__getitem__, queue)))
+        components.append(tuple([divmod(k, total) for k in queue]))
         key = label.find(0, key + 1)
+    vertices = tuple([(u, v) for u in range(total) for v in range(u + 1, total)])
     return PairGraph(p.left_count, p.right_count, vertices, tuple(components))
 
 
@@ -220,7 +212,6 @@ def all_distinguished(actions: Sequence[Sequence[int]], mask: int, state_count: 
     proving all it visited; one that runs out finds an undistinguished
     component.  mark[u*N+v]: 0 unseen, 1 in this search, 2 proved."""
     total = state_count
-    pairs = _pair_table(total)[0]
     final = [mask >> q & 1 for q in range(total)]
     mark = bytearray(total * total)
     for y in range(1, total):
@@ -229,7 +220,7 @@ def all_distinguished(actions: Sequence[Sequence[int]], mask: int, state_count: 
         mark[y] = 1
         queue = [y]
         for key in queue:
-            u, v = pairs[key]
+            u, v = divmod(key, total)
             for act in actions:
                 a, b = act[u], act[v]
                 img = a * total + b if a < b else b * total + a

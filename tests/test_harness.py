@@ -384,6 +384,11 @@ class TestPinnedInstances:
         with pytest.raises(ValueError):
             evaluate_instance(self.B34_LEFT, self.B34_RIGHT, [0, 1, 2], [0],
                               BoolFn.by_name("and"))
+        # a state outside 0..m-1 or 0..n-1 is named before the set is judged
+        for left, right in (([3], [0]), ([0], [4]), ([-1], [0]), ([0], [-1])):
+            with pytest.raises(ValueError, match="final state out of range"):
+                evaluate_instance(self.B34_LEFT, self.B34_RIGHT, left, right,
+                                  BoolFn.by_name("and"))
 
 
 @lru_cache(maxsize=None)

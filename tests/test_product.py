@@ -1,6 +1,8 @@
 """Products, pair graphs, structural predictions."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -252,6 +254,45 @@ class TestPairGraphAgainstUnionFind:
     def test_non_bijective_letter_raises(self):
         with pytest.raises(NotAPermutationError):
             pair_graph(_non_bijective_product())
+
+    @pytest.mark.parametrize("left,right,count", [
+        # identity letters: every pair is its own component
+        ({"a": (0, 1, 2), "b": (0, 1, 2)},
+         {"a": (0, 1, 2, 3), "b": (0, 1, 2, 3)}, 66),
+        # one shared 4-cycle: components of two or four pairs
+        ({"a": (1, 2, 3, 0), "b": (1, 2, 3, 0)},
+         {"a": (1, 2, 3, 0), "b": (1, 2, 3, 0)}, 32),
+        # a 3-cycle on the left, a swap on the right, each with the identity
+        ({"a": (1, 2, 0), "b": (0, 1, 2)},
+         {"a": (0, 1, 2, 3), "b": (1, 0, 2, 3)}, 14),
+    ], ids=["identity", "shared-cycle", "cycle-and-swap"])
+    def test_letters_that_do_not_generate(self, left, right, count):
+        p = direct_product(
+            Semiautomaton(len(left["a"]), ("a", "b"), left),
+            Semiautomaton(len(right["a"]), ("a", "b"), right))
+        g = pair_graph(p)
+        assert g == pair_graph_by_union_find(p)
+        assert len(g.components) == count
+
+
+class TestNothingKeptPerSize:
+    def test_no_memory_outlives_a_call(self):
+        # the prop-1 witnesses at degree 20: a 400-state product
+        cycle = Perm(tuple(range(1, 20)) + (0,))
+        swap = Perm((1, 0) + tuple(range(2, 20)))
+        p = direct_product(from_basis(Basis(cycle, swap)),
+                           from_basis(Basis(swap, cycle)))
+        mask = flat_final_mask(BoolFn.by_name("and"), 1 << 19, 20, 1 << 19, 20)
+        acts = list(p.actions.values())
+        tracemalloc.start()
+        try:
+            pair_graph(p)
+            all_distinguished(acts, mask, p.state_count)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 1 << 20
 
 
 def component_scan(components, mask):
