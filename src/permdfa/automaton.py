@@ -5,8 +5,6 @@ level requires letters to act bijectively; operations that do need that (the
 pair-graph machinery in product.py) check it themselves.
 """
 
-from __future__ import annotations
-
 from typing import Iterable, Optional, Sequence
 
 from .errors import AutomatonFormatError, CycleFormatError, NotAPermutationError

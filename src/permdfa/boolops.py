@@ -5,10 +5,7 @@ f(0,0), f(0,1), f(1,0), f(1,1). So "0110" (= 6) is symmetric difference and
 "0001" (= 1) is intersection. Reports always carry the 4-bit string.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 # The ten proper functions by their conventional names. "diff" is x and not y,
 # "rdiff" the reverse; "impl" is x implies y, "rimpl" the reverse.
@@ -36,16 +33,17 @@ _IMPROPER = frozenset({0b0000, 0b0011, 0b0101, 0b1010, 0b1100, 0b1111})
 CANONICAL_TABLES = (0b0001, 0b0010, 0b0100, 0b0110, 0b0111)
 
 
-@dataclass(frozen=True)
-class BoolFn:
-    """A binary boolean function given by its 4-bit truth table."""
+class BoolFn(namedtuple("BoolFn", ("table", "name"), defaults=(None,))):
+    """A binary boolean function given by its 4-bit truth table (an int),
+    with an optional name (a str or None)."""
 
-    table: int
-    name: Optional[str] = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 <= self.table <= 15:
             raise ValueError(f"truth table must be in 0..15, got {self.table}")
+        return self
 
     @classmethod
     def by_name(cls, name: str) -> "BoolFn":

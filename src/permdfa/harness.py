@@ -37,7 +37,7 @@ import marshal
 import os
 import random
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from operator import add, itemgetter
 from typing import Callable, List, Optional, Sequence, TextIO, Tuple
@@ -133,17 +133,17 @@ def enumerate_bases(n: int) -> Tuple[Basis, ...]:
     return tuple(basis for basis, _, _ in basis_orbits(n))
 
 
-@dataclass(frozen=True)
-class CampaignConfig:
-    m: int
-    n: int
-    mode: str = "exhaustive"  # "exhaustive" or "sample"
-    sample_count: int = 0
-    seed: int = 0
-    ops: Tuple[BoolFn, ...] = ()  # empty means all ten proper operations
-    output: Optional[str] = None
+class CampaignConfig(namedtuple(
+        "CampaignConfig", ("m", "n", "mode", "sample_count", "seed", "ops",
+                           "output"),
+        defaults=("exhaustive", 0, 0, (), None))):
+    """mode is "exhaustive" or "sample"; ops is a tuple of BoolFns, empty
+    for all ten proper operations; output names a report file or is None."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         bad = [f.label() for f in self.ops if not is_proper(f)]
         if bad:
             raise ValueError(f"{bad[0]!r} depends on at most one argument;"
@@ -158,6 +158,7 @@ class CampaignConfig:
             raise ValueError("seed and sample count only apply to sampled mode")
         if not 0 <= self.seed <= _MASK64:
             raise ValueError(f"seed must be in 0..2^64-1, got {self.seed}")
+        return self
 
     def resolved_ops(self) -> Tuple[BoolFn, ...]:
         # the first operation given for each table, by ascending table
@@ -165,20 +166,10 @@ class CampaignConfig:
         return tuple(first[table] for table in sorted(first))
 
 
-@dataclass
-class VerificationRecord:
-    m: int
-    n: int
-    b1: str
-    b2: str
-    conjugate: bool
-    connected: bool
-    finals_left: Tuple[int, ...]
-    finals_right: Tuple[int, ...]
-    op: BoolFn
-    predicted: bool
-    oracle: int
-    status: str
+class VerificationRecord(namedtuple("VerificationRecord", (
+        "m", "n", "b1", "b2", "conjugate", "connected", "finals_left",
+        "finals_right", "op", "predicted", "oracle", "status"))):
+    __slots__ = ()
 
     def tsv_row(self) -> str:
         return (_row_prefix(self.m, self.n, self.b1, self.b2,
@@ -187,16 +178,28 @@ class VerificationRecord:
                 + _verdict_text(self.predicted, self.oracle, self.status))
 
 
-@dataclass
 class CampaignResult:
-    config: CampaignConfig
-    total: int = 0
-    n_pass: int = 0
-    n_fail: int = 0
-    n_exception: int = 0
-    n_conjugate: int = 0
-    below_mn: int = 0
-    first_fail: Optional[VerificationRecord] = None
+    def __init__(self, config: CampaignConfig, total: int = 0,
+                 n_pass: int = 0, n_fail: int = 0, n_exception: int = 0,
+                 n_conjugate: int = 0, below_mn: int = 0,
+                 first_fail: Optional[VerificationRecord] = None):
+        self.config = config
+        self.total = total
+        self.n_pass = n_pass
+        self.n_fail = n_fail
+        self.n_exception = n_exception
+        self.n_conjugate = n_conjugate
+        self.below_mn = below_mn
+        self.first_fail = first_fail
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"CampaignResult({fields})"
 
     @property
     def ok(self) -> bool:
@@ -361,7 +364,10 @@ def _emit(head, combos, entry: _Judged, pick: Optional[itemgetter],
     verdicts = entry.verdicts if pick is None else pick(entry.verdicts)
 
     def record(i):
-        return VerificationRecord(*head, *choices[i][:3], *verdicts[i][:3])
+        # _make, not the class: its __new__ takes twelve arguments in Python,
+        # which doubles the cost of a record, and a sink gets one per row
+        return VerificationRecord._make(
+            head + choices[i][:3] + verdicts[i][:3])
 
     if sink is not None:
         for i in range(len(verdicts)):
@@ -684,10 +690,11 @@ def _collect(children: dict, pid: int):
         raise RuntimeError(f"{what} sent a short payload") from None
 
 
-@dataclass
-class ConnectivityCheck:
-    total: int
-    mismatches: List[Tuple[str, str, bool, bool]]
+class ConnectivityCheck(namedtuple("ConnectivityCheck",
+                                   ("total", "mismatches"))):
+    """mismatches lists (b1 text, b2 text, predicted, actual)."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

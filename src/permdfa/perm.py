@@ -13,8 +13,6 @@ left to right instead; that convention lives in automaton.py and the two are
 never mixed.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import re

@@ -12,9 +12,7 @@ _states_text and _pair_text are the one text form of a boolean, a state set
 and a product-state pair in every report.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Optional, Sequence
 
 from .automaton import DFA, Semiautomaton, finals_to_mask, is_connected, mask_states
@@ -108,24 +106,20 @@ def product_dfa(left: DFA, right: DFA, f: BoolFn) -> DFA:
     return DFA(p.state_count, p.alphabet, dict(p.actions), p.initial, finals)
 
 
-@dataclass(frozen=True)
-class ComponentLabel:
+class ComponentLabel(namedtuple("ComponentLabel", ("kind", "exact"))):
     """kind is C1 (coordinates both differ), C2 (left equal), C3 (right equal)
     or OTHER; exact marks a component that is the whole class of its kind."""
 
-    kind: str
-    exact: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PairGraph:
-    """All unordered pairs of distinct product states, grouped into the
+class PairGraph(namedtuple("PairGraph", (
+        "left_count", "right_count", "vertices", "components"))):
+    """All unordered pairs (u, v), u < v, of distinct product states, in
+    lexicographic order, and the same pair tuples grouped into the
     components induced by the letter actions."""
 
-    left_count: int
-    right_count: int
-    vertices: tuple[tuple[int, int], ...]
-    components: tuple[tuple[tuple[int, int], ...], ...]
+    __slots__ = ()
 
 
 def pair_graph(p: ProductAutomaton) -> PairGraph:
@@ -137,11 +131,15 @@ def pair_graph(p: ProductAutomaton) -> PairGraph:
     unlabelled pair, scanning in lexicographic order, so components come
     out ordered by their smallest pair and each pair is labelled once.
     The label array, whose keys u * N + v with u >= v start taken, and the
-    vertex list are built afresh on each call.
+    vertex list are built afresh on each call; the pair keyed u * N + v is
+    vertices[u * N + v - (u + 1)(u + 2) / 2], and each component holds
+    those same tuples.
     """
     p.require_permutations()
     total = p.state_count
     acts = list(p.actions.values())
+    vertices = tuple([(u, v) for u in range(total) for v in range(u + 1, total)])
+    shift = [(u + 1) * (u + 2) // 2 for u in range(total)]
     label = bytearray(b"\x01") * (total * total)
     for u in range(total):
         label[u * total + u + 1:(u + 1) * total] = bytes(total - u - 1)
@@ -160,9 +158,9 @@ def pair_graph(p: ProductAutomaton) -> PairGraph:
                     label[img] = 1
                     queue.append(img)
         queue.sort()
-        components.append(tuple([divmod(k, total) for k in queue]))
+        components.append(tuple([vertices[k - shift[k // total]]
+                                 for k in queue]))
         key = label.find(0, key + 1)
-    vertices = tuple([(u, v) for u in range(total) for v in range(u + 1, total)])
     return PairGraph(p.left_count, p.right_count, vertices, tuple(components))
 
 

@@ -175,6 +175,19 @@ class TestPairGraph:
                     key = (au, av) if au < av else (av, au)
                     assert comp_of[(u, v)] == comp_of[key]
 
+    def test_components_hold_the_vertex_tuples(self):
+        # a listing keeps one tuple per pair, whatever the components
+        rng = random.Random(5)
+        for m, n in ((2, 3), (3, 3), (4, 5)):
+            p = direct_product(from_basis(_random_basis(rng, m)),
+                               from_basis(_random_basis(rng, n)))
+            g = pair_graph(p)
+            at = {pair: i for i, pair in enumerate(g.vertices)}
+            assert len(at) == len(g.vertices) == sum(map(len, g.components))
+            for comp in g.components:
+                for pair in comp:
+                    assert pair is g.vertices[at[pair]]
+
 
 def pair_graph_by_union_find(p):
     """Reference: the union-find pair graph that pair_graph replaced, kept

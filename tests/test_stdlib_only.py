@@ -59,10 +59,10 @@ def test_runtime_is_stdlib_only():
     assert not bad, bad
 
 
-def test_import_loads_no_worker_modules():
-    # Sampled campaigns fork with os alone; these modules would add to every
-    # start-up and to peak memory. -S keeps site-packages hooks, which may
-    # import threading themselves, out of the picture.
+def modules_after_import():
+    """The modules a fresh interpreter holds after importing the CLI. -S
+    keeps site-packages hooks, which may import threading or inspect
+    themselves, out of the picture."""
     code = (
         "import sys\n"
         f"sys.path.insert(0, {str(SRC.parent)!r})\n"
@@ -71,9 +71,24 @@ def test_import_loads_no_worker_modules():
     out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
                          capture_output=True, text=True).stdout.split()
     assert "permdfa.harness" in out
+    return out
+
+
+def test_import_loads_no_worker_modules():
+    # Sampled campaigns fork with os alone; these modules would add to every
+    # start-up and to peak memory.
     worker = ("multiprocessing", "concurrent", "pickle", "subprocess",
               "threading")
-    assert [m for m in out if m.split(".")[0] in worker] == []
+    assert [m for m in modules_after_import()
+            if m.split(".")[0] in worker] == []
+
+
+def test_import_loads_no_class_generation_modules():
+    # dataclasses imports inspect, which imports ast, dis and tokenize: about
+    # a third of the set-up of every verify process.
+    unused = ("dataclasses", "inspect", "ast", "dis", "tokenize", "__future__")
+    assert [m for m in modules_after_import()
+            if m.split(".")[0] in unused] == []
 
 
 def test_public_names_are_load_bearing():
