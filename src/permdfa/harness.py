@@ -430,15 +430,15 @@ def verify_theorem1(
     (header plus one row per instance) is streamed to it; config.output
     names a file to write when out is not supplied.
     """
-    if config.output is not None and out is None:
-        with open(config.output, "w", encoding="ascii") as fh:
-            return verify_theorem1(config, sink, fh)
     if config.mode == "exhaustive":
         total = exhaustive_instance_count(config)
         if total > EXHAUSTIVE_BUDGET:
             raise CapExceededError(
                 f"exhaustive sweep would visit {total} instances"
                 f" (budget {EXHAUSTIVE_BUDGET}); use sampled mode")
+    if config.output is not None and out is None:
+        with open(config.output, "w", encoding="ascii") as fh:
+            return verify_theorem1(config, sink, fh)
     result = CampaignResult(config)
     if out is not None:
         out.write(REPORT_HEADER + "\n")

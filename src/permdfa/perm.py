@@ -5,7 +5,10 @@ point-orbit BFS (_point_orbit) behind reachability and transitivity, and
 the element closure (_closure_images) behind the generation test and
 transition semigroups. The generation test (_images_generate_symmetric)
 rejects by parity, transitivity and primitivity and accepts by Jordan's
-theorem on prime cycles; the closure is its exact fallback.
+theorem on prime cycles; the closure is its exact fallback. What the package
+reads of a permutation's cycles (parity, Jordan certificate, cycle type and
+cycle text) comes from one bounded cache per image tuple, _cycle_facts,
+shared by the generation test, format_cycles and bases_conjugate.
 
 Composition is right-to-left throughout this module: compose(p, q) applies q
 first, so compose(p, q)(i) == p(q(i)). Words over an automaton alphabet act
@@ -16,6 +19,7 @@ never mixed.
 import itertools
 import math
 import re
+from collections import namedtuple
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -106,7 +110,7 @@ class Perm:
         return tuple(out)
 
     def is_even(self) -> bool:
-        return _image_is_even(self.image)
+        return _cycle_facts(self.image).even
 
     def order(self) -> int:
         return math.lcm(*map(len, self.cycles()))
@@ -188,8 +192,7 @@ def parse_cycles(text: str, degree: int) -> Perm:
 
 def format_cycles(p: Perm) -> str:
     """Disjoint-cycle text, fixed points omitted; the identity prints as "id"."""
-    parts = ["(" + ",".join(map(str, cyc)) + ")" for cyc in p.cycles()]
-    return "".join(parts) or "id"
+    return _cycle_facts(p.image).text
 
 
 def _conjugator_text(r: Optional[Perm]) -> str:
@@ -257,28 +260,7 @@ def _generator_images(gens: tuple[Perm, ...]) -> tuple[list[tuple[int, ...]], in
     return [g.image for g in gens], degree
 
 
-def _cycle_lengths(image: Sequence[int]) -> list[int]:
-    """Lengths of a permutation's cycles, fixed points included, in order
-    of each cycle's smallest point."""
-    lengths = []
-    seen = set()
-    for start, q in enumerate(image):
-        if start not in seen:
-            k = 1
-            while q != start:
-                seen.add(q)
-                q = image[q]
-                k += 1
-            lengths.append(k)
-    return lengths
-
-
-def _image_is_even(image: Sequence[int]) -> bool:
-    """Parity of a permutation's image tuple: the degree minus the number of
-    cycles, fixed points included, is even."""
-    return (len(image) - len(_cycle_lengths(image))) % 2 == 0
-
-
+@lru_cache(maxsize=None)
 def _is_prime(k: int) -> bool:
     return k >= 2 and all(k % d for d in range(2, math.isqrt(k) + 1))
 
@@ -290,17 +272,34 @@ def _jordan_primes(degree: int) -> frozenset[int]:
     return frozenset(p for p in range(2, max(4, degree - 2)) if _is_prime(p))
 
 
+_CycleFacts = namedtuple("_CycleFacts", ("even", "certificate", "cycle_type", "text"))
+
+
 @lru_cache(maxsize=1024)
-def _has_jordan_certificate(image: tuple[int, ...]) -> bool:
-    """Whether some power of the permutation is a p-cycle with p in
-    _jordan_primes: exactly one cycle length is a multiple of p, and it is
-    p itself. Cached, because at small degrees the same permutations recur
-    across draws; 1024 entries hold every permutation of degree 6."""
-    lengths = _cycle_lengths(image)
+def _cycle_facts(image: tuple[int, ...]) -> _CycleFacts:
+    """What the package reads of a permutation's cycles, from one walk of
+    them.
+
+    even: the degree minus the number of cycles, fixed points included, is
+    even. certificate: some power of the permutation is a p-cycle with p in
+    _jordan_primes, that is, exactly one cycle length is a multiple of p and
+    it is p itself. cycle_type: the cycle lengths, fixed points included,
+    ascending. text: what format_cycles returns. Cached, because at small
+    degrees the same permutations recur across draws, tests and rows; 1024
+    entries hold every permutation of degree 6.
+    """
+    cycles = Perm._trusted(image).cycles()
+    lengths = list(map(len, cycles))
+    moved = sum(lengths)
+    certificate = False
     for p in _jordan_primes(len(image)).intersection(lengths):
         if [k % p for k in lengths].count(0) == 1:
-            return True
-    return False
+            certificate = True
+            break
+    # a cycle's text is its tuple's text without the spaces
+    return _CycleFacts((moved - len(cycles)) % 2 == 0, certificate,
+                       (1,) * (len(image) - moved) + tuple(sorted(lengths)),
+                       "".join(map(str, cycles)).replace(" ", "") or "id")
 
 
 def _is_primitive(images: Sequence[Sequence[int]], degree: int) -> bool:
@@ -348,7 +347,7 @@ def _images_generate_symmetric(images: Sequence[Sequence[int]], degree: int) -> 
        Mortimer, Permutation Groups, 3.3E) a primitive group containing a
        cycle of prime length p, with p <= 3 or p <= n-3, contains A_n, so
        this one is S_n. An element has such a cycle among its powers when
-       it has a Jordan certificate (_has_jordan_certificate).
+       it has a Jordan certificate (_cycle_facts).
        Accept when a generator has one, or else when the closure meets an
        element that has one.
     5. Without a certificate the closure runs on to an exact bound. A group
@@ -360,18 +359,19 @@ def _images_generate_symmetric(images: Sequence[Sequence[int]], degree: int) -> 
     """
     if degree <= 1:
         return True
-    if all(map(_image_is_even, images)):
-        return False
-    if _point_orbit(images, 0, degree).count(1) < degree:
-        return False
-    if not _is_prime(degree) and not _is_primitive(images, degree):
-        return False
     gens = [tuple(g) for g in images]
-    if any(map(_has_jordan_certificate, gens)):
+    facts = [_cycle_facts(g) for g in gens]
+    if all(f.even for f in facts):
+        return False
+    if _point_orbit(gens, 0, degree).count(1) < degree:
+        return False
+    if not _is_prime(degree) and not _is_primitive(gens, degree):
+        return False
+    if any(f.certificate for f in facts):
         return True
     bound = 8 if degree == 4 else math.factorial(degree - 1)
-    return _closure_images(images, [tuple(range(degree)), *gens], stop_above=bound,
-                           stop_at=_has_jordan_certificate) is None
+    return _closure_images(gens, [tuple(range(degree)), *gens], stop_above=bound,
+                           stop_at=lambda y: _cycle_facts(y).certificate) is None
 
 
 def generates_symmetric(gens: Iterable[Perm]) -> bool:
@@ -452,10 +452,14 @@ def bases_conjugate(b1: Basis, b2: Basis) -> Optional[Perm]:
     O(n) work each. A generating pair has trivial centralizer for degree
     >= 3, so the conjugator is then unique; that uniqueness is verified
     rather than assumed. At degree 2 the lexicographically first conjugator,
-    the one with the smallest anchor, is returned.
+    the one with the smallest anchor, is returned. Conjugation keeps cycle
+    type, so bases whose s or whose t differ in it are not searched.
     """
     if b1.degree != b2.degree:
         raise DegreeMismatchError("bases of different degrees are never conjugate")
+    if (_cycle_facts(b1.s.image).cycle_type != _cycle_facts(b2.s.image).cycle_type
+            or _cycle_facts(b1.t.image).cycle_type != _cycle_facts(b2.t.image).cycle_type):
+        return None
     n = b1.degree
     moves = ((b1.s.image, b2.s.image), (b1.t.image, b2.t.image))
     found: Optional[list[int]] = None

@@ -71,15 +71,17 @@ def direct_product(left: Semiautomaton, right: Semiautomaton) -> ProductAutomato
 
 def flat_final_mask(f: BoolFn, fmask: int, left_count: int, gmask: int, right_count: int) -> int:
     """Product final states as a bit mask over flat indices: bit i*n+j is
-    f(bit i of fmask, bit j of gmask)."""
+    f(bit i of fmask, bit j of gmask).  Row i is one of two masks over the
+    right states, f(x, .) for x its left bit, shifted into place."""
     table = f.table
     n = right_count
+    full = (1 << n) - 1
+    g = gmask & full
+    rows = [(g if table >> (2 - 2 * x) & 1 else 0)
+            | (full ^ g if table >> (3 - 2 * x) & 1 else 0) for x in (0, 1)]
     flat = 0
     for i in range(left_count):
-        x = fmask >> i & 1
-        for j in range(n):
-            if table >> (3 - 2 * x - (gmask >> j & 1)) & 1:
-                flat |= 1 << (i * n + j)
+        flat |= rows[fmask >> i & 1] << (i * n)
     return flat
 
 

@@ -192,6 +192,20 @@ class TestVerify:
         assert len(lines) == 6481
         assert lines[0].split("\t")[:2] == ["m", "n"]
 
+    @pytest.mark.parametrize("m, reason", [("5", "budget"),
+                                           ("6", "limited to degree 5")])
+    def test_refused_exhaustive_leaves_out_file_alone(self, tmp_path, m, reason):
+        kept = tmp_path / "kept.tsv"
+        kept.write_text("an earlier report\n")
+        absent = tmp_path / "absent.tsv"
+        for out in (kept, absent):
+            r = run_cli("verify", "--m", m, "--n", "5", "--exhaustive",
+                        "--out", str(out))
+            assert r.returncode == 2
+            assert reason in r.stderr
+        assert kept.read_text() == "an earlier report\n"
+        assert not absent.exists()
+
     def test_exhaustive_to_stdout(self):
         r = run_cli("verify", "--m", "2", "--n", "2", "--exhaustive")
         assert r.returncode == 0

@@ -395,6 +395,111 @@ class TestConjugacyAgainstScan:
         assert found > 0
 
 
+def conjugator_by_anchor_search(b1, b2):
+    """Reference: bases_conjugate's anchor search on every pair, without
+    its cycle-type shortcut; the conjugator with the smallest anchor."""
+    n = b1.degree
+    moves = ((b1.s.image, b2.s.image), (b1.t.image, b2.t.image))
+    for anchor in range(n):
+        r = [-1] * n
+        r[0] = anchor
+        stack = [0]
+        consistent = True
+        while stack and consistent:
+            q = stack.pop()
+            for g1, g2 in moves:
+                v, want = g1[q], g2[r[q]]
+                if r[v] < 0:
+                    r[v] = want
+                    stack.append(v)
+                elif r[v] != want:
+                    consistent = False
+        if consistent and sorted(r) == list(range(n)):
+            return Perm(r)
+    return None
+
+
+def cycle_type(p):
+    return sorted([len(c) for c in p.cycles()]
+                  + [1] * sum(p(i) == i for i in range(p.degree)))
+
+
+class TestConjugacyShortcut:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_every_basis_against_anchor_search(self, n):
+        # each basis with each of its conjugates and with 50 others
+        rng = random.Random(n)
+        bases = enumerate_bases(n)
+        relabellings = [Perm(r) for r in itertools.permutations(range(n))]
+        differing = 0
+        for b in bases:
+            others = [b.conjugated(r) for r in relabellings]
+            others += rng.choices(bases, k=50)
+            for other in others:
+                assert bases_conjugate(b, other) == conjugator_by_anchor_search(b, other)
+                differing += (cycle_type(b.s) != cycle_type(other.s)
+                              or cycle_type(b.t) != cycle_type(other.t))
+        assert differing > 0
+
+    def test_equal_cycle_types_not_conjugate(self):
+        # both components relabelled independently: same cycle types, and
+        # the pair is almost never conjugate
+        rng = random.Random(20)
+        checked = 0
+        while checked < 500:
+            n = rng.choice((5, 6, 7))
+            s, t = (Perm(rng.sample(range(n), n)) for _ in range(2))
+            if not generates_symmetric([s, t]):
+                continue
+            s2, t2 = (conjugate(Perm(rng.sample(range(n), n)), g) for g in (s, t))
+            if not generates_symmetric([s2, t2]):
+                continue
+            b1, b2 = Basis(s, t), Basis(s2, t2)
+            if conjugator_by_anchor_search(b1, b2) is not None:
+                continue
+            assert bases_conjugate(b1, b2) is None
+            checked += 1
+
+
+def fresh_cycle_facts(p):
+    """Reference for perm._cycle_facts: parity by counting inversions, the
+    Jordan certificate from the powers of p (one of them is a single cycle
+    of prime length l with l <= 3 or l <= n - 3), the cycle type and text
+    from p.cycles()."""
+    n = p.degree
+    inversions = sum(p(i) > p(j) for i in range(n) for j in range(i + 1, n))
+    certificate = False
+    power = p
+    for _ in range(p.order()):
+        cycles = power.cycles()
+        if len(cycles) == 1:
+            k = len(cycles[0])
+            certificate |= all(k % d for d in range(2, k)) and (k <= 3 or k <= n - 3)
+        power = power * p
+    text = "".join("(" + ",".join(map(str, c)) + ")" for c in p.cycles()) or "id"
+    return inversions % 2 == 0, certificate, tuple(cycle_type(p)), text
+
+
+class TestCycleFacts:
+    def test_against_fresh_computation(self):
+        # every permutation of degree 1-6, then 300 of degree 12: more than
+        # the cache holds, so the second pass meets evicted entries
+        rng = random.Random(12)
+        every = [Perm(img) for n in range(1, 7)
+                 for img in itertools.permutations(range(n))]
+        every += [Perm(rng.sample(range(12), 12)) for _ in range(300)]
+        info = perm._cycle_facts.cache_info()
+        assert info.maxsize is not None and len(set(every)) > info.maxsize
+        for _ in range(2):
+            for p in every:
+                facts = perm._cycle_facts(p.image)
+                assert facts == fresh_cycle_facts(p), p
+                assert (facts.even, facts.text) == (p.is_even(), format_cycles(p))
+                assert parse_cycles(facts.text, p.degree) == p
+                assert perm._cycle_facts.cache_info().currsize <= info.maxsize
+        assert perm._cycle_facts.cache_info().currsize == info.maxsize
+
+
 def generates_by_half_closure(gens):
     """Reference: close the group generated by gens, stopping once it has
     more than n!/2 elements, the order of the largest proper subgroup."""

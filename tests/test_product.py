@@ -1,6 +1,7 @@
 """Products, pair graphs, structural predictions."""
 
 import gc
+import itertools
 import random
 import tracemalloc
 
@@ -105,6 +106,17 @@ class TestDirectProduct:
         assert got == frozenset({0, 1})
         got = flat_final_set(BoolFn.by_name("xor"), {0}, 2, {0, 1}, 3)
         assert got == frozenset({2, 3, 4})
+
+    @pytest.mark.parametrize("table", range(16))
+    def test_flat_final_mask_bit_by_bit(self, table):
+        # bit i*n+j is f(i in F, j in F'), for every final pair at m, n <= 4
+        f = BoolFn(table)
+        for m, n in itertools.product(range(1, 5), repeat=2):
+            for fmask in range(1 << m):
+                for gmask in range(1 << n):
+                    want = sum(1 << (i * n + j) for i in range(m) for j in range(n)
+                               if f(bool(fmask >> i & 1), bool(gmask >> j & 1)))
+                    assert flat_final_mask(f, fmask, m, gmask, n) == want
 
     def test_product_dfa_language(self):
         dl = DFA(2, ("a", "b"), from_basis(B2).actions, 0, {0})

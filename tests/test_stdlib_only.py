@@ -1,14 +1,17 @@
-"""The runtime imports nothing but the standard library and itself, and
-every public name is load-bearing."""
+"""The runtime imports nothing but the standard library and itself, every
+public name is load-bearing, and every function the benchmark traces
+exists."""
 
 import ast
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 import permdfa
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "permdfa"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "permdfa"
 
 # Public names that no other runtime module uses, each kept for one reason.
 OUTSIDE_USE = {
@@ -100,3 +103,17 @@ def test_public_names_are_load_bearing():
     assert not unused, unused
     # the list names only public names that still need it
     assert set(OUTSIDE_USE) <= set(permdfa.__all__) - used
+
+
+def test_benchmark_trace_targets_exist(monkeypatch):
+    # perfbench/campaign.py reports a traced name it cannot find as zero, so
+    # a renamed function would silently empty its per-layer metric.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_campaign", ROOT / "perfbench" / "campaign.py")
+    campaign = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(campaign)
+    assert campaign.TRACED
+    missing = [name for name, (module, attr) in campaign.TRACED.items()
+               if not callable(getattr(getattr(permdfa, module, None), attr, None))]
+    assert not missing, missing
