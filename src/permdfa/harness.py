@@ -23,6 +23,13 @@ the orbit emits that entry through a pick that reorders its verdicts (see
 _sweep).  evaluate_instance judges a fresh context per instance and so is
 the unreduced reference.
 
+Both modes cut their work items (basis pairs, samples) into contiguous
+ranges, one per CPU, and judge them through one driver (_split): this
+process judges the first range of a round and forked children the others,
+each spooling its rows to a memfd that this process copies into the report
+in range order.  A child's range holds a bounded number of rows, so a large
+campaign runs in rounds and no spool outgrows about 64 MiB.
+
 The reproduction reports live in reproductions; reproduce and
 REPRODUCE_IDS are re-exported here.
 
@@ -38,7 +45,7 @@ import os
 import random
 import sys
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import add, itemgetter
 from typing import Callable, List, Optional, Sequence, TextIO, Tuple
 
@@ -94,11 +101,22 @@ CONJUGATE_SAMPLE_STRIDE = 8
 
 _MASK64 = (1 << 64) - 1
 
-# A sampled campaign gets one range of samples per CPU the process may use,
-# but no range shorter than this.  A forked range costs the campaign about
+# A campaign gets one range of work items per CPU the process may use, but
+# no range of fewer rows than these.  A forked range costs the campaign 3 to
 # 6 ms on a 2-CPU host, copy-on-write faults in both processes included:
-# the time of about 16 samples at degree 5 and 40 at degrees 2 and 3.
+# the time of about 16 samples at degree 5 and 40 at degrees 2 and 3.  A
+# sweep's row costs about 0.15 us to write and 0.03 us to copy from a
+# spool, so a sweep gains from about 30,000 rows a range: 3x3 with all
+# operations (116,640 rows) took 53 ms in one range and 51 ms in two, 2x4
+# with all operations (181,440 rows) 83 and 77 ms.
 _MIN_SAMPLE_RANGE = 32
+_MIN_SWEEP_ROWS = 1 << 15
+
+# A forked range holds at most this many rows, so that its spool stays
+# within about 64 MiB: a row takes 50 to 125 bytes up to degree 5, which
+# covers every exhaustive campaign.  A campaign with more rows runs in
+# rounds.
+_SPOOL_ROWS = 1 << 19
 
 # The CampaignResult counts of a tally (a _Judged entry's, a child's range's).
 _TALLIES = ("total", "n_pass", "n_exception", "n_fail", "n_conjugate",
@@ -443,9 +461,12 @@ def verify_theorem1(
     if out is not None:
         out.write(REPORT_HEADER + "\n")
     if config.mode == "sample":
-        _sample(config, result, sink, out)
+        _split(partial(_sample_range, config), config.sample_count, 1,
+               _MIN_SAMPLE_RANGE, "samples", result, sink, out)
     else:
-        _sweep(config, result, sink, out)
+        judge, count, rows = _sweep(config)
+        _split(judge, count, rows, _MIN_SWEEP_ROWS, "basis pairs",
+               result, sink, out)
     return result
 
 
@@ -463,20 +484,26 @@ def _relabelled_offsets(degree: int, stride: int):
     return table
 
 
-def _sweep(config: CampaignConfig, result: CampaignResult,
-           sink: Optional[Callable[[VerificationRecord], None]],
-           out: Optional[TextIO]) -> None:
-    """Exhaustive mode, judging one context per relabelling orbit and start.
+def _sweep(config: CampaignConfig):
+    """Exhaustive mode's set-up: return (judge, count, rows), where
+    judge(result, sink, out, start, stop) judges basis pairs start..stop-1
+    into result, sink and out, count is the number of basis pairs and rows
+    the rows of each.  Pair i * (right bases) + j is (left basis i, right
+    basis j), so pairs go in lexicographic order.
 
-    Relabelling both bases by (r, s) in S_m x S_n renames product state
-    (i, j) as (r(i), s(j)), start state included, so the pair
-    (r*rep1*r^-1, s*rep2*s^-1) from (0, 0) takes, for (F, F', op), the
-    verdict of (rep1, rep2) from (r^-1(0), s^-1(0)) on (r^-1 F, s^-1 F', op).
-    The letters permute the product states, so an entry serves every start
-    its context reaches: one per connected orbit, two per conjugate one
-    (the diagonal and the off-diagonal; S_n is 2-transitive).  An entry that
-    holds a disagreement stops at the representative's first, so the pair
-    that meets it is judged directly and ends at its own.
+    The tables are built here, once per campaign, so that forked children
+    inherit them: the combos every pair shares, the relabelled offsets of
+    both degrees, and the entry of one context per relabelling orbit and
+    start, so that no range judges one again.  Relabelling both bases by
+    (r, s) in S_m x S_n renames product state (i, j) as (r(i), s(j)), start
+    state included, so the pair (r*rep1*r^-1, s*rep2*s^-1) from (0, 0)
+    takes, for (F, F', op), the verdict of (rep1, rep2) from (r^-1(0),
+    s^-1(0)) on (r^-1 F, s^-1 F', op).  The letters permute the product
+    states, so an entry serves every start its context reaches: one per
+    connected orbit, two per conjugate one (the diagonal and the
+    off-diagonal; S_n is 2-transitive).  An entry that holds a disagreement
+    stops at the representative's first, so the pair that meets it is
+    judged directly and ends at its own.
     """
     m, n = config.m, config.n
     ops = config.resolved_ops()
@@ -493,16 +520,23 @@ def _sweep(config: CampaignConfig, result: CampaignResult,
     left = _relabelled_offsets(m, ((1 << n) - 2) * k)
     right = _relabelled_offsets(n, k)
     judged = {}  # (rep1, rep2, product state) -> (conjugate, connected), entry
-    picks = {}
-    for b1, rep1, b1_text, f_offsets, i0 in left:
-        for b2, rep2, b2_text, g_offsets, j0 in right:
-            cached = judged.get((rep1, rep2, i0 * n + j0))
-            if cached is None:
+    starts = [sorted({(rep, start) for _, rep, _, _, start in side})
+              for side in (left, right)]
+    for rep1, i0 in starts[0]:
+        for rep2, j0 in starts[1]:
+            if (rep1, rep2, i0 * n + j0) not in judged:
                 ctx = _PairContext(left[rep1][0], right[rep2][0], i0 * n + j0)
                 cached = ctx.head[4:], _Judged(ctx, combos[0])
                 for state in ctx.reachable:
                     judged[rep1, rep2, state] = cached
-            flags, entry = cached
+    picks = {}
+    width = len(right)
+
+    def judge(result, sink, out, start, stop):
+        for index in range(start, stop):
+            b1, rep1, b1_text, f_offsets, i0 = left[index // width]
+            b2, rep2, b2_text, g_offsets, j0 = right[index % width]
+            flags, entry = judged[rep1, rep2, i0 * n + j0]
             head = (m, n, b1_text, b2_text, *flags)
             # pick(xs) lists xs at the representative's index of each combo;
             # pairs with the same relabellings share it, and its indices
@@ -516,6 +550,8 @@ def _sweep(config: CampaignConfig, result: CampaignResult,
                 ctx = _PairContext(b1, b2)
                 head, pick, entry = ctx.head, None, _Judged(ctx, combos[0])
             _emit(head, combos, entry, pick, result, sink, out)
+
+    return judge, len(left) * width, len(combos[0])
 
 
 def _splitmix64(seed: int, index: int) -> int:
@@ -561,54 +597,6 @@ def sample_instances(
     return verify_theorem1(config, sink, out)
 
 
-def _sample(config: CampaignConfig, result: CampaignResult,
-            sink: Optional[Callable[[VerificationRecord], None]],
-            out: Optional[TextIO]) -> None:
-    """Sampled mode: each sample is a basis pair judged on one combo.
-
-    The samples are cut into contiguous ranges, one per CPU the process may
-    use and each at least _MIN_SAMPLE_RANGE long.  This process judges the
-    first range and streams its rows; a forked child judges each other
-    range (_fork_range), and its rows and tallies are merged in sample
-    order.  A range whose tallies count a FAIL is judged again here
-    instead, since sample i depends only on (seed, i): _emit then sets
-    first_fail and raises a TwoPathDisagreement at its row.  So the report,
-    result and exceptions are those of judging every sample here.  A sink
-    takes records in this process, so it gets one range, and so does a
-    process running other threads, where a forked child could inherit a
-    lock that a thread held.
-    """
-    count = config.sample_count
-    # a process that started a thread has imported threading
-    threading = sys.modules.get("threading")
-    k = 1
-    if (sink is None and hasattr(os, "fork")
-            and hasattr(os, "sched_getaffinity")
-            and (threading is None or threading.active_count() == 1)):
-        k = max(1, min(len(os.sched_getaffinity(0)),
-                       count // _MIN_SAMPLE_RANGE))
-    bounds = [count * r // k for r in range(k + 1)]
-    children = {}  # pid -> (read end of its pipe, start, stop) until reaped
-    try:
-        for start, stop in zip(bounds[1:], bounds[2:]):
-            _fork_range(config, children, out is not None, start, stop)
-        _sample_range(config, result, sink, out, 0, bounds[1])
-        for pid, (_, start, stop) in list(children.items()):
-            text, tallies = _collect(children, pid)
-            if tallies[3]:  # n_fail
-                _sample_range(config, result, None, out, start, stop)
-            else:
-                if out is not None:
-                    out.write(text)
-                result._add(tallies)
-    finally:
-        # children not reaped yet belong to a campaign that was abandoned
-        for pid, (fd, _, _) in children.items():
-            os.close(fd)
-            os.kill(pid, _SIGKILL)
-            os.waitpid(pid, 0)
-
-
 def _sample_range(config: CampaignConfig, result: CampaignResult,
                   sink: Optional[Callable[[VerificationRecord], None]],
                   out: Optional[TextIO], start: int, stop: int) -> None:
@@ -629,13 +617,80 @@ def _sample_range(config: CampaignConfig, result: CampaignResult,
                    result, sink, out)
 
 
-def _fork_range(config: CampaignConfig, children: dict, rows: bool,
-                start: int, stop: int) -> None:
-    """Fork a child that judges samples start..stop-1 and sends its range
-    back as one marshal payload: its rows as _emit wrote them (when rows is
-    set) and its tallies, in _TALLIES order.  A TwoPathDisagreement ends
-    the range; its FAIL is counted.  children maps the child's pid to the
-    read end of its pipe and the range."""
+def _split(judge, count: int, rows: int, minimum: int, items: str,
+           result: CampaignResult,
+           sink: Optional[Callable[[VerificationRecord], None]],
+           out: Optional[TextIO]) -> None:
+    """Judge count work items of rows report rows each, items start..stop-1
+    as judge(result, sink, out, start, stop) does, on every CPU the process
+    may use; items names them in errors.
+
+    The items are cut into contiguous ranges of at least minimum rows, one
+    per CPU, and into rounds of one range per CPU when a range would hold
+    more than _SPOOL_ROWS rows.  In each round this process judges the
+    first range and streams its rows; a forked child judges each other
+    range (_fork_range) into a memfd spool, which is copied into out in
+    range order once this process is done with its own range.  A range
+    whose tallies count a FAIL is judged again here instead, since an item
+    depends only on the campaign and its index: _emit then sets first_fail
+    and raises a TwoPathDisagreement at its row.  So the report, result and
+    exceptions are those of judging every item here.  A sink takes records
+    in this process, so it gets one range, and so does a process running
+    other threads, where a forked child could inherit a lock that a thread
+    held.
+    """
+    # a process that started a thread has imported threading
+    threading = sys.modules.get("threading")
+    cpus = 1
+    if (sink is None and hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity")
+            and hasattr(os, "memfd_create")
+            and (threading is None or threading.active_count() == 1)):
+        cpus = max(1, min(len(os.sched_getaffinity(0)),
+                          count * rows // minimum))
+    ranges = 1
+    if cpus > 1:
+        ranges = cpus * -(-count // (cpus * max(1, _SPOOL_ROWS // rows)))
+    bounds = [count * r // ranges for r in range(ranges + 1)]
+    children = {}  # pid -> (read end of its pipe, spool, start, stop)
+    spools = []  # the round's spools, closed at its end
+    try:
+        for first in range(0, ranges, cpus):
+            for r in range(first + 1, first + cpus):
+                spool = None
+                if out is not None:
+                    spool = os.memfd_create("permdfa-range")
+                    spools.append(spool)
+                _fork_range(judge, result.config, children, spool,
+                            bounds[r], bounds[r + 1])
+            judge(result, sink, out, bounds[first], bounds[first + 1])
+            for pid, (_, spool, start, stop) in list(children.items()):
+                tallies = _collect(children, pid, items)
+                if tallies[3]:  # n_fail
+                    judge(result, None, out, start, stop)
+                else:
+                    if spool is not None:
+                        _copy_spool(spool, out)
+                    result._add(tallies)
+            while spools:
+                os.close(spools.pop())
+    finally:
+        # children not reaped yet belong to a campaign that was abandoned
+        for pid, (fd, _, _, _) in children.items():
+            os.close(fd)
+            os.kill(pid, _SIGKILL)
+            os.waitpid(pid, 0)
+        while spools:
+            os.close(spools.pop())
+
+
+def _fork_range(judge, config: CampaignConfig, children: dict,
+                spool: Optional[int], start: int, stop: int) -> None:
+    """Fork a child that judges items start..stop-1, writes its rows as
+    _emit wrote them to the memfd spool (when there is one) and sends back
+    its tallies, in _TALLIES order, as one marshal payload.  A
+    TwoPathDisagreement ends the range; its FAIL is counted.  children maps
+    the child's pid to the read end of its pipe, the spool and the range."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -645,7 +700,7 @@ def _fork_range(config: CampaignConfig, children: dict, rows: bool,
         raise
     if pid:
         os.close(write_fd)
-        children[pid] = (read_fd, start, stop)
+        children[pid] = (read_fd, spool, start, stop)
         return
     # The child leaves only through os._exit, so it never returns into the
     # caller and never flushes the buffers it inherited.
@@ -653,14 +708,17 @@ def _fork_range(config: CampaignConfig, children: dict, rows: bool,
     try:
         os.close(read_fd)
         part = CampaignResult(config)
-        buf = io.StringIO() if rows else None
+        # io.open, not open: the report's opener may be replaced
+        out = None if spool is None else io.open(
+            spool, "w", encoding="ascii", closefd=False)
         try:
-            _sample_range(config, part, None, buf, start, stop)
+            judge(part, None, out, start, stop)
         except TwoPathDisagreement:
             pass  # its FAIL is counted, so the parent judges the range again
-        payload = memoryview(marshal.dumps((
-            buf.getvalue() if rows else "",
-            [getattr(part, name) for name in _TALLIES])))
+        if out is not None:
+            out.flush()
+        payload = memoryview(marshal.dumps(
+            [getattr(part, name) for name in _TALLIES]))
         while payload:
             payload = payload[os.write(write_fd, payload):]
         status = 0
@@ -670,17 +728,17 @@ def _fork_range(config: CampaignConfig, children: dict, rows: bool,
         os._exit(status)
 
 
-def _collect(children: dict, pid: int):
-    """Read the payload of one of the children, reap it and return the
-    payload."""
-    fd, start, stop = children[pid]
+def _collect(children: dict, pid: int, items: str):
+    """Read the tallies of one of the children, reap it and return the
+    tallies."""
+    fd, _, start, stop = children[pid]
     chunks = []
     while chunk := os.read(fd, 1 << 16):
         chunks.append(chunk)
     status = os.waitpid(pid, 0)[1]
     del children[pid]
     os.close(fd)
-    what = f"the child process judging samples {start} to {stop - 1}"
+    what = f"the child process judging {items} {start} to {stop - 1}"
     if status:
         raise RuntimeError(
             f"{what} failed (exit code {os.waitstatus_to_exitcode(status)})")
@@ -688,6 +746,14 @@ def _collect(children: dict, pid: int):
         return marshal.loads(b"".join(chunks))
     except (EOFError, ValueError, TypeError):
         raise RuntimeError(f"{what} sent a short payload") from None
+
+
+def _copy_spool(spool: int, out: TextIO) -> None:
+    """Write the rows in a spool to out, 64 KiB at a time."""
+    offset = 0
+    while chunk := os.pread(spool, 1 << 16, offset):
+        offset += len(chunk)
+        out.write(chunk.decode("ascii"))
 
 
 class ConnectivityCheck(namedtuple("ConnectivityCheck",

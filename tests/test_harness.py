@@ -37,28 +37,46 @@ from permdfa.product import flat_final_mask
 GOLDEN = Path(__file__).parent / "golden"
 
 
+class _Forks(list):
+    """The pids forked, in order; peak is the most children alive at once."""
+
+    peak = 0
+
+
 @pytest.fixture
 def split(monkeypatch):
-    """A function that makes sampled campaigns cut their samples into one
-    range per given CPU, however short, and returns the list of the pids
-    forked from then on. At the end no child process may be left."""
-    forks = []
-    fork = os.fork
+    """A function that makes campaigns, sampled and exhaustive, cut their
+    work into one range per given CPU, however short, and returns the pids
+    forked from then on (a _Forks). At the end no child process may be
+    left."""
+    forks = _Forks()
+    alive = set()
+    fork, waitpid = os.fork, os.waitpid
 
     def counting_fork():
         pid = fork()
         if pid:
             forks.append(pid)
+            alive.add(pid)
+            forks.peak = max(forks.peak, len(alive))
         return pid
+
+    def counting_waitpid(pid, options):
+        reaped = waitpid(pid, options)
+        alive.discard(reaped[0])
+        return reaped
 
     def set_cpus(cpus):
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(cpus)))
         forks.clear()
+        forks.peak = 0
         return forks
 
     monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "waitpid", counting_waitpid)
     monkeypatch.setattr(harness, "_MIN_SAMPLE_RANGE", 1)
+    monkeypatch.setattr(harness, "_MIN_SWEEP_ROWS", 1)
     yield set_cpus
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -521,14 +539,18 @@ class TestComplementMemo:
 
 class _RowPicker:
     """A report stream that keeps only the rows at the wanted indices
-    (0 is the first row after the header); writes hold whole rows."""
+    (0 is the first row after the header)."""
 
     def __init__(self, wanted):
         self.wanted = sorted(wanted)
         self.rows = {}
         self.next = -1  # the header
+        self.partial = ""  # a row that the last write cut off
 
     def write(self, text):
+        text = self.partial + text
+        cut = text.rfind("\n") + 1
+        text, self.partial = text[:cut], text[cut:]
         count = text.count("\n")
         start, self.next = self.next, self.next + count
         lo = bisect.bisect_left(self.wanted, start)
@@ -814,31 +836,82 @@ def _one_range_campaign(config):
     return buf.getvalue(), result
 
 
+def _ops(*names):
+    return tuple(map(BoolFn.by_name, names))
+
+
+# A sampled campaign and a sweep, each small.
+SMALL_CAMPAIGNS = {
+    "sample": CampaignConfig(3, 3, mode="sample", sample_count=40, seed=9),
+    "sweep": CampaignConfig(2, 3),
+}
+
+
+def _table_filling_off_by_one(monkeypatch):
+    real = harness.distinguishability_complexity
+    monkeypatch.setattr(harness, "distinguishability_complexity",
+                        lambda d: real(d) - 1)
+
+
+def _swaps_left(actions):
+    """Whether both letters swap the left states: true of the products of
+    (0,1);(0,1), the last of the three left bases of degree 2, so only in
+    the last third of a 2x3 sweep."""
+    return all(action[0] // 3 == 1 for action in actions)
+
+
+def _moore_short_on_the_last_left_basis(monkeypatch):
+    real = harness.moore_complexity
+    monkeypatch.setattr(
+        harness, "moore_complexity",
+        lambda actions, *rest: real(actions, *rest) - _swaps_left(actions))
+
+
+def _all_short_on_the_last_left_basis(monkeypatch):
+    # both minimizers count one state less and the prediction agrees: a
+    # FAIL on every row of those products, and no disagreement
+    _moore_short_on_the_last_left_basis(monkeypatch)
+    real_table_filling = harness.distinguishability_complexity
+    monkeypatch.setattr(
+        harness, "distinguishability_complexity",
+        lambda d: real_table_filling(d)
+        - _swaps_left([d.actions[letter] for letter in d.alphabet]))
+    real_prediction = harness.all_distinguished
+    monkeypatch.setattr(
+        harness, "all_distinguished",
+        lambda actions, *rest: not _swaps_left(actions)
+        and real_prediction(actions, *rest))
+
+
 class TestSplitSamples:
-    """A sampled campaign cut into ranges that forked children judge gives
-    the report, result and exceptions of judging every sample in one
-    process."""
+    """A sampled campaign or an exhaustive sweep cut into ranges that forked
+    children judge gives the report, result and exceptions of judging every
+    sample or basis pair in one process."""
 
     @pytest.mark.parametrize("cpus", [2, 3])
-    @pytest.mark.parametrize("m,n,count,seed,sha256", [
-        # the pinned sampled reports of tests/test_cli.py
-        (5, 5, 1000, 1, "f881ff7136c3fb512558ea9c83db3f88"
-                        "57c2acacf2ba5de3c1575256b1730c74"),
-        (7, 7, 50, 42, "b5c1393367b35fcbae39003a911c963f"
-                       "7e271c03a3d383bcf8c5fde49c869577"),
-        (10, 10, 100, 42, "b4395b296ea6a044741d41acfe384988"
-                          "e0a6de1d304f70b50caf5fb3bb4e7458"),
+    @pytest.mark.parametrize("config,sha256", [
+        # the pinned reports of tests/test_cli.py
+        (CampaignConfig(5, 5, mode="sample", sample_count=1000, seed=1),
+         "f881ff7136c3fb512558ea9c83db3f8857c2acacf2ba5de3c1575256b1730c74"),
+        (CampaignConfig(7, 7, mode="sample", sample_count=50, seed=42),
+         "b5c1393367b35fcbae39003a911c963f7e271c03a3d383bcf8c5fde49c869577"),
+        (CampaignConfig(10, 10, mode="sample", sample_count=100, seed=42),
+         "b4395b296ea6a044741d41acfe384988e0a6de1d304f70b50caf5fb3bb4e7458"),
         # 4x4 ranges that mix conjugate and other samples; at 12 samples
         # (seed 8), sample 7 is the one conjugate sample, so one range
         # holds it and the others hold none
-        (4, 4, 24, 8, None),
-        (4, 4, 24, 3, None),
-        (4, 4, 12, 8, None),
-    ], ids=["5x5", "7x7", "10x10", "4x4-seed8", "4x4-seed3", "4x4-short"])
-    def test_split_equals_serial(self, split, m, n, count, seed, sha256,
-                                 cpus):
-        config = CampaignConfig(m, n, mode="sample", sample_count=count,
-                                seed=seed)
+        (CampaignConfig(4, 4, mode="sample", sample_count=24, seed=8), None),
+        (CampaignConfig(4, 4, mode="sample", sample_count=24, seed=3), None),
+        (CampaignConfig(4, 4, mode="sample", sample_count=12, seed=8), None),
+        (CampaignConfig(2, 3),
+         "e8fc49ff9e60d8e514d256870a19d6dc13dae607a8d5404208e999377030a873"),
+        (CampaignConfig(3, 3),
+         "c141bf397bfc665993f6b73fc30337e35ee814bc519788acf60a848110ee5ed5"),
+        (CampaignConfig(3, 4, ops=_ops("xor", "xnor")),
+         "e2c154aea89bacf7170d0c2ea3d088e2faf384c32501ddf859b0238be3837d67"),
+    ], ids=["5x5", "7x7", "10x10", "4x4-seed8", "4x4-seed3", "4x4-short",
+            "sweep-2x3", "sweep-3x3", "sweep-3x4-xor"])
+    def test_split_equals_serial(self, split, config, sha256, cpus):
         report, result = _one_range_campaign(config)
         if sha256 is not None:
             assert hashlib.sha256(report.encode("ascii")).hexdigest() == sha256
@@ -848,14 +921,21 @@ class TestSplitSamples:
         assert buf.getvalue() == report
         assert len(forks) == cpus - 1
 
-    @pytest.mark.parametrize("cpus", [2, 3])
-    def test_disagreement(self, split, monkeypatch, cpus):
+    @pytest.mark.parametrize("config,miscount,rows,cpus", [
         # 3x4 seed 2: the first shortfall, sample 33, is in this process's
         # range for two CPUs and opens the second range for three
-        config = CampaignConfig(3, 4, mode="sample", sample_count=100, seed=2)
-        real = harness.distinguishability_complexity
-        monkeypatch.setattr(harness, "distinguishability_complexity",
-                            lambda d: real(d) - 1)
+        pytest.param(
+            CampaignConfig(3, 4, mode="sample", sample_count=100, seed=2),
+            _table_filling_off_by_one, 34, cpus, id=str(cpus))
+        for cpus in (2, 3)] + [
+        # the 18 pairs of the last left basis are the last range for two
+        # CPUs and three; the first of them ends the report at its first row
+        pytest.param(CampaignConfig(2, 3), _moore_short_on_the_last_left_basis,
+                     36 * 120 + 1, cpus, id=f"sweep-{cpus}")
+        for cpus in (2, 3)])
+    def test_disagreement(self, split, monkeypatch, config, miscount, rows,
+                          cpus):
+        miscount(monkeypatch)
         runs = []
         for c in (1, cpus):
             forks = split(c)
@@ -867,18 +947,35 @@ class TestSplitSamples:
                          exc.table_filling, str(exc)))
         assert len(forks) == cpus - 1
         assert runs[1] == runs[0]
-        assert len(runs[0][0].splitlines()) == 35  # header, samples 0..33
+        assert len(runs[0][0].splitlines()) == 1 + rows  # the header first
 
-    @pytest.mark.parametrize("cpus", [2, 3])
-    def test_first_fail_is_the_earliest(self, split, monkeypatch, cpus):
+    @pytest.mark.parametrize("config,shortfall,first,n_fail,cpus", [
         # With no degree pair excused, each shortfall of 3x4 seed 2 is a
         # FAIL: samples 33, 42, 55 and 70, so every range after the first
         # has one.
+        pytest.param(
+            CampaignConfig(3, 4, mode="sample", sample_count=100, seed=2),
+            None, 33, 4, cpus, id=str(cpus))
+        for cpus in (2, 3)] + [
+        # 2x2: pairs 1, 2, 3, 5, 6 and 7 of 9 have shortfalls, so every
+        # range does, this process's first
+        pytest.param(CampaignConfig(2, 2), None, 43, 48, cpus,
+                     id=f"sweep-{cpus}")
+        for cpus in (2, 3)] + [
+        # 2x3: every row of the last 18 pairs fails, all in the last range
+        pytest.param(CampaignConfig(2, 3), _all_short_on_the_last_left_basis,
+                     36 * 120, 18 * 120, cpus, id=f"sweep-child-{cpus}")
+        for cpus in (2, 3)])
+    def test_first_fail_is_the_earliest(self, split, monkeypatch, config,
+                                        shortfall, first, n_fail, cpus):
         monkeypatch.setattr(harness, "EXCEPTION_DEGREES", frozenset())
-        config = CampaignConfig(3, 4, mode="sample", sample_count=100, seed=2)
+        if shortfall is not None:
+            shortfall(monkeypatch)
         records = []
         serial = verify_theorem1(config, sink=records.append)  # one range
-        assert serial.n_fail == 4 and serial.first_fail == records[33]
+        fails = [i for i, r in enumerate(records) if r.status == "FAIL"]
+        assert serial.n_fail == len(fails) == n_fail
+        assert serial.first_fail == records[first] and fails[0] == first
         forks = split(cpus)
         assert verify_theorem1(config) == serial
         assert len(forks) == cpus - 1
@@ -911,15 +1008,18 @@ class TestSplitSamples:
         assert judged == ([(0, 30), (60, 90)] if fail else [(0, 30)])
 
     def test_sink_gets_every_record_in_order(self, split):
-        forks = split(3)
-        config = CampaignConfig(5, 5, mode="sample", sample_count=64, seed=1)
-        records = []
-        buf = io.StringIO()
-        verify_theorem1(config, sink=records.append, out=buf)
-        assert forks == []
-        assert ([REPORT_HEADER] + [r.tsv_row() for r in records]
-                == buf.getvalue().splitlines())
-        assert len(records) == 64
+        for config, count in (
+                (CampaignConfig(5, 5, mode="sample", sample_count=64, seed=1),
+                 64),
+                (CampaignConfig(2, 3), 6480)):  # 54 pairs of 120 rows
+            forks = split(3)
+            records = []
+            buf = io.StringIO()
+            verify_theorem1(config, sink=records.append, out=buf)
+            assert forks == []
+            assert ([REPORT_HEADER] + [r.tsv_row() for r in records]
+                    == buf.getvalue().splitlines())
+            assert len(records) == count
 
     def test_no_fork_beside_other_threads(self, split):
         forks = split(3)
@@ -927,49 +1027,97 @@ class TestSplitSamples:
         waiter = threading.Thread(target=release.wait)
         waiter.start()
         try:
-            buf = io.StringIO()
-            verify_theorem1(CampaignConfig(3, 3, mode="sample",
-                                           sample_count=40, seed=9), out=buf)
+            reports = {}
+            for mode, config in SMALL_CAMPAIGNS.items():
+                buf = io.StringIO()
+                verify_theorem1(config, out=buf)
+                reports[mode] = buf.getvalue()
         finally:
             release.set()
             waiter.join(timeout=10)
         assert not waiter.is_alive()
         assert forks == []
-        assert len(buf.getvalue().splitlines()) == 41
+        assert {mode: len(report.splitlines())
+                for mode, report in reports.items()} == {
+            "sample": 41, "sweep": 6481}
+        assert reports == {mode: _one_range_campaign(config)[0]
+                           for mode, config in SMALL_CAMPAIGNS.items()}
+
+    @pytest.mark.parametrize("mode", SMALL_CAMPAIGNS)
+    def test_no_fork_without_memfd_create(self, split, monkeypatch, mode):
+        config = SMALL_CAMPAIGNS[mode]
+        monkeypatch.delattr(os, "memfd_create")
+        forks = split(3)
+        buf = io.StringIO()
+        assert verify_theorem1(config, out=buf) == (
+            _one_range_campaign(config)[1])
+        assert buf.getvalue() == _one_range_campaign(config)[0]
+        assert forks == []
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("config,rows,spool_rows", [
+        # 324 pairs of 360 rows, 20 pairs a range
+        (CampaignConfig(3, 3), 360, 20 * 360),
+        (CampaignConfig(5, 5, mode="sample", sample_count=1000, seed=1), 1,
+         100),
+    ], ids=["sweep-3x3", "5x5"])
+    def test_rounds(self, split, monkeypatch, config, rows, spool_rows, cpus):
+        report, result = _one_range_campaign(config)
+        monkeypatch.setattr(harness, "_SPOOL_ROWS", spool_rows)
+        ranges = []  # of the children
+        real = harness._fork_range
+
+        def recording(judge, config, children, spool, start, stop):
+            ranges.append((start, stop))
+            return real(judge, config, children, spool, start, stop)
+
+        monkeypatch.setattr(harness, "_fork_range", recording)
+        forks = split(cpus)
+        buf = io.StringIO()
+        assert verify_theorem1(config, out=buf) == result
+        assert buf.getvalue() == report
+        assert len(forks) == len(ranges) >= 3 * (cpus - 1)
+        assert forks.peak == cpus - 1
+        assert max(stop - start for start, stop in ranges) * rows <= spool_rows
 
     def test_interrupt_kills_and_reaps_children(self, split, monkeypatch):
-        forks = split(3)
         parent = os.getpid()
-        real = harness._PairContext
+        real = harness._emit
 
-        def interrupted(b1, b2):
+        def interrupted(*args):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
-            return real(b1, b2)
+            return real(*args)
 
-        monkeypatch.setattr(harness, "_PairContext", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            verify_theorem1(CampaignConfig(5, 5, mode="sample",
-                                           sample_count=300, seed=1))
-        assert len(forks) == 2
+        monkeypatch.setattr(harness, "_emit", interrupted)
+        for config in (CampaignConfig(5, 5, mode="sample", sample_count=300,
+                                      seed=1),
+                       CampaignConfig(2, 3)):
+            forks = split(3)
+            with pytest.raises(KeyboardInterrupt):
+                verify_theorem1(config, out=io.StringIO())
+            assert len(forks) == 2
 
     def test_failed_child_raises(self, split, monkeypatch):
-        split(2)
         parent = os.getpid()
-        real = harness._PairContext
+        real = harness._emit
 
-        def broken(b1, b2):
+        def broken(*args):
             if os.getpid() != parent:
                 raise ValueError("broken in a child")
-            return real(b1, b2)
+            return real(*args)
 
-        monkeypatch.setattr(harness, "_PairContext", broken)
+        monkeypatch.setattr(harness, "_emit", broken)
         # keep the child's traceback off stderr
         monkeypatch.setattr(sys, "excepthook", lambda *exc_info: None)
-        with pytest.raises(RuntimeError, match=r"samples 10 to 19 failed"
-                                               r" \(exit code 1\)"):
-            verify_theorem1(CampaignConfig(3, 3, mode="sample",
-                                           sample_count=20, seed=1))
+        for config, what in (
+                (CampaignConfig(3, 3, mode="sample", sample_count=20, seed=1),
+                 "samples 10 to 19"),
+                (CampaignConfig(2, 3), "basis pairs 27 to 53")):
+            split(2)
+            with pytest.raises(RuntimeError,
+                               match=what + r" failed \(exit code 1\)"):
+                verify_theorem1(config)
 
     def test_short_payload_raises(self, split, monkeypatch):
         split(2)

@@ -62,14 +62,16 @@ def test_runtime_is_stdlib_only():
     assert not bad, bad
 
 
-def modules_after_import():
-    """The modules a fresh interpreter holds after importing the CLI. -S
-    keeps site-packages hooks, which may import threading or inspect
-    themselves, out of the picture."""
+def modules_after_import(then=""):
+    """The modules a fresh interpreter holds after importing the CLI and
+    running the code `then`, plus what that code prints. -S keeps
+    site-packages hooks, which may import threading or inspect themselves,
+    out of the picture."""
     code = (
         "import sys\n"
         f"sys.path.insert(0, {str(SRC.parent)!r})\n"
         "import permdfa, permdfa.cli\n"
+        + then +
         "print(' '.join(sorted(sys.modules)))\n")
     out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
                          capture_output=True, text=True).stdout.split()
@@ -77,13 +79,33 @@ def modules_after_import():
     return out
 
 
+# Campaigns fork with os alone and spool to a memfd; these modules would add
+# to every start-up and to peak memory.
+WORKER_MODULES = ("multiprocessing", "concurrent", "pickle", "subprocess",
+                  "threading", "tempfile", "shutil")
+
+
 def test_import_loads_no_worker_modules():
-    # Sampled campaigns fork with os alone; these modules would add to every
-    # start-up and to peak memory.
-    worker = ("multiprocessing", "concurrent", "pickle", "subprocess",
-              "threading")
     assert [m for m in modules_after_import()
-            if m.split(".")[0] in worker] == []
+            if m.split(".")[0] in WORKER_MODULES] == []
+
+
+def test_split_sweep_loads_no_worker_modules():
+    # a 2x4 sweep cut into two ranges, the second judged by a forked child
+    out = modules_after_import(
+        "import os\n"
+        "from permdfa import harness\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "harness._MIN_SWEEP_ROWS = 1\n"
+        "forks = []\n"
+        "fork = os.fork\n"
+        "os.fork = lambda: forks.append(fork()) or forks[-1]\n"
+        "with open(os.devnull, 'w') as out:\n"
+        "    result = harness.verify_theorem1(harness.CampaignConfig(2, 4),\n"
+        "                                     out=out)\n"
+        "print(f'forks={len(forks)} total={result.total}')\n")
+    assert "forks=1" in out and "total=181440" in out
+    assert [m for m in out if m.split(".")[0] in WORKER_MODULES] == []
 
 
 def test_import_loads_no_class_generation_modules():
