@@ -23,6 +23,14 @@ the orbit emits that entry through a pick that reorders its verdicts (see
 _sweep).  evaluate_instance judges a fresh context per instance and so is
 the unreduced reference.
 
+_emit builds a pair's rows as its prefix joined with row bodies (combo text
+and verdict text), from a cache that travels with the combos and is keyed
+by the pair's verdict texts in combo order.  Every pair of a sweep shares
+one cache, and it stays small: the verdicts of a pair depend only on the
+group its letters generate on the product states, and few groups occur, so
+the 3,888 pairs of 3x4 show 7 verdict sequences and the 46,656 of 4x4 at
+most 31.
+
 Both modes cut their work items (basis pairs, samples) into contiguous
 ranges, one per CPU, and judge them through one driver (_split): this
 process judges the first range of a round and forked children the others,
@@ -105,12 +113,14 @@ _MASK64 = (1 << 64) - 1
 # no range of fewer rows than these.  A forked range costs the campaign 3 to
 # 6 ms on a 2-CPU host, copy-on-write faults in both processes included:
 # the time of about 16 samples at degree 5 and 40 at degrees 2 and 3.  A
-# sweep's row costs about 0.15 us to write and 0.03 us to copy from a
-# spool, so a sweep gains from about 30,000 rows a range: 3x3 with all
-# operations (116,640 rows) took 53 ms in one range and 51 ms in two, 2x4
-# with all operations (181,440 rows) 83 and 77 ms.
+# sweep's row costs 0.10 to 0.15 us to write to a file and about 0.05 us to
+# copy from a spool, so a sweep gains from about 130,000 rows a range, in
+# medians of 15 to 21 alternating runs on a 2-CPU host: 3x3 with all
+# operations (116,640 rows) took 26 to 38 ms in one range and 31 to 39 ms
+# in two, 2x4 with all operations (181,440 rows) 45 to 57 and 51 to 55 ms,
+# 3x4 and (326,592 rows) 147 and 126 ms.
 _MIN_SAMPLE_RANGE = 32
-_MIN_SWEEP_ROWS = 1 << 15
+_MIN_SWEEP_ROWS = 1 << 17
 
 # A forked range holds at most this many rows, so that its spool stays
 # within about 64 MiB: a row takes 50 to 125 bytes up to degree 5, which
@@ -277,14 +287,16 @@ class _PairContext:
 
 
 def _combos(m: int, n: int, choices):
-    """A pair's combos for the given (F, F', op) choices, as two lists:
-    each choice with its flat finals mask appended, and each choice's row
-    text."""
-    return ([(finals_left, finals_right, op,
-              flat_final_mask(op, finals_to_mask(finals_left), m,
-                              finals_to_mask(finals_right), n))
+    """A pair's combos for the given list of (F, F', op) tuples, as
+    (choices, masks, texts, bodies): the choices, each one's flat finals
+    mask and row text, and an empty cache of row bodies for _emit, which
+    maps the verdict texts of a pair, in combo order, to its rows without
+    the pair's prefix."""
+    return (choices,
+            [flat_final_mask(op, finals_to_mask(finals_left), m,
+                             finals_to_mask(finals_right), n)
              for finals_left, finals_right, op in choices],
-            [_combo_text(*choice) for choice in choices])
+            [_combo_text(*choice) for choice in choices], {})
 
 
 def _judge_mask(ctx: _PairContext, flat: int):
@@ -318,14 +330,16 @@ def _judge_mask(ctx: _PairContext, flat: int):
     else:
         # a disconnected product contradicts the connectivity criterion
         status = STATUS_FAIL
+    # interned, so that _emit's cache of row bodies compares its keys, the
+    # verdict texts of a pair, by identity
     return (predicted, oracle, status, disagree,
-            _verdict_text(predicted, oracle, status) + "\n")
+            sys.intern(_verdict_text(predicted, oracle, status) + "\n"))
 
 
 class _Judged:
-    """A basis pair judged on its combos' choices, each {mask, ~mask} once:
-    the verdicts (as _judge_mask gives them) in combo order, their verdict
-    texts, and one tally of them.
+    """A basis pair judged on its combos' finals masks, each {mask, ~mask}
+    once: the verdicts (as _judge_mask gives them) in combo order, their
+    verdict texts, and one tally of them.
 
     The tally holds the counts in _TALLIES order; disagree_at is the index
     of the disagreement that ends judging, or None.
@@ -333,12 +347,11 @@ class _Judged:
 
     __slots__ = ("verdicts", "texts", "tally", "disagree_at")
 
-    def __init__(self, ctx: _PairContext, choices):
+    def __init__(self, ctx: _PairContext, masks):
         full = (1 << ctx.mn) - 1
         memo = {}
         verdicts = self.verdicts = []
-        for choice in choices:
-            flat = choice[3]
+        for flat in masks:
             key = min(flat, flat ^ full)
             verdict = memo.get(key)
             if verdict is None:
@@ -368,13 +381,17 @@ def _emit(head, combos, entry: _Judged, pick: Optional[itemgetter],
     Records are built only for sink, for the campaign's first FAIL and for
     a disagreement, which ends the rows and raises TwoPathDisagreement.
     """
-    choices, texts = combos
+    choices, _, texts, bodies = combos
     if out is not None:
-        # each row is the pair's prefix, the combo text and the verdict
-        # text, which ends the row
+        # each row is the pair's prefix and a body: the combo text and the
+        # verdict text, which ends the row
+        verdict_texts = entry.texts if pick is None else pick(entry.texts)
+        pair_bodies = bodies.get(verdict_texts)
+        if pair_bodies is None:
+            pair_bodies = bodies[verdict_texts] = list(
+                map(add, texts, verdict_texts))
         prefix = _row_prefix(*head)
-        out.write(prefix + prefix.join(map(
-            add, texts, entry.texts if pick is None else pick(entry.texts))))
+        out.write(prefix + prefix.join(pair_bodies))
     result._add(entry.tally)
     n_fail = entry.tally[3]
     if sink is None and not n_fail:
@@ -382,14 +399,16 @@ def _emit(head, combos, entry: _Judged, pick: Optional[itemgetter],
     verdicts = entry.verdicts if pick is None else pick(entry.verdicts)
 
     def record(i):
-        # _make, not the class: its __new__ takes twelve arguments in Python,
-        # which doubles the cost of a record, and a sink gets one per row
-        return VerificationRecord._make(
-            head + choices[i][:3] + verdicts[i][:3])
+        return VerificationRecord._make(head + choices[i] + verdicts[i][:3])
 
     if sink is not None:
-        for i in range(len(verdicts)):
-            sink(record(i))
+        # _make, not the class: its __new__ takes twelve arguments in
+        # Python, which doubles the cost of a record, and a sink gets one
+        # per row
+        for rec in map(VerificationRecord._make, map(
+                add, map(head.__add__, choices),
+                map(itemgetter(slice(3)), verdicts))):
+            sink(rec)
     if n_fail and result.first_fail is None:
         result.first_fail = record([v[2] for v in verdicts].index(STATUS_FAIL))
     if entry.disagree_at is not None:
@@ -426,7 +445,7 @@ def _judge_one(b1: Basis, b2: Basis, fmask: int, gmask: int, op: BoolFn,
     ctx = _PairContext(b1, b2)
     combos = _combos(ctx.m, ctx.n, [(mask_states(fmask, ctx.m),
                                      mask_states(gmask, ctx.n), op)])
-    _emit(ctx.head, combos, _Judged(ctx, combos[0]), None, result, sink, out)
+    _emit(ctx.head, combos, _Judged(ctx, combos[1]), None, result, sink, out)
 
 
 def exhaustive_instance_count(config: CampaignConfig) -> int:
@@ -526,7 +545,7 @@ def _sweep(config: CampaignConfig):
         for rep2, j0 in starts[1]:
             if (rep1, rep2, i0 * n + j0) not in judged:
                 ctx = _PairContext(left[rep1][0], right[rep2][0], i0 * n + j0)
-                cached = ctx.head[4:], _Judged(ctx, combos[0])
+                cached = ctx.head[4:], _Judged(ctx, combos[1])
                 for state in ctx.reachable:
                     judged[rep1, rep2, state] = cached
     picks = {}
@@ -548,7 +567,7 @@ def _sweep(config: CampaignConfig):
                     for f in f_offsets for g in g_offsets for x in range(k)])
             if entry.disagree_at is not None:
                 ctx = _PairContext(b1, b2)
-                head, pick, entry = ctx.head, None, _Judged(ctx, combos[0])
+                head, pick, entry = ctx.head, None, _Judged(ctx, combos[1])
             _emit(head, combos, entry, pick, result, sink, out)
 
     return judge, len(left) * width, len(combos[0])

@@ -1,6 +1,7 @@
 """End to end runs of the command line interface."""
 
 import hashlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -279,7 +280,7 @@ class TestPinnedReports:
     # Report digests and summaries recorded from the CLI before any
     # refactoring; perfbench/reference.json holds the same entries for the
     # first, second, third and sixth case.
-    @pytest.mark.parametrize("args,sha256,summary", [
+    CASES = [
         (("--m", "2", "--n", "3", "--exhaustive"),
          "e8fc49ff9e60d8e514d256870a19d6dc13dae607a8d5404208e999377030a873",
          "summary: total=6480 pass=6480 exception-expected=0 fail=0"
@@ -324,7 +325,9 @@ class TestPinnedReports:
          "f6a9cfe1c5cde2708151c8c28f93f3ebafadffb65f8ff7c5ff2cebf8dc0a711c",
          "summary: total=1231200 pass=1231200 exception-expected=0 fail=0"
          " conjugate=0"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("args,sha256,summary", CASES)
     def test_report_digest(self, tmp_path, args, sha256, summary):
         out = tmp_path / "report.tsv"
         r = run_cli("verify", *args, "--out", str(out))
@@ -336,6 +339,19 @@ class TestPinnedReports:
             while chunk := fh.read(1 << 20):
                 digest.update(chunk)
         assert digest.hexdigest() == sha256
+
+    def test_benchmark_references_agree(self):
+        # perfbench/reference.json keys a reference by its verify command
+        references = json.loads(
+            (Path(__file__).parents[1] / "perfbench" / "reference.json")
+            .read_text())
+        pinned = {" ".join(("verify", *args)):
+                  {"summary": summary, "sha256": sha256}
+                  for args, sha256, summary in self.CASES}
+        shared = pinned.keys() & references.keys()
+        assert len(shared) == 4
+        for command in shared:
+            assert references[command] == pinned[command]
 
 
 class TestReproduce:

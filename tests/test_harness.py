@@ -771,6 +771,35 @@ class TestOrbitReduction:
         assert res.total == 653184 and res.ok
         assert built == 0
 
+    def test_row_bodies_built_once_per_verdict_sequence(self, monkeypatch):
+        # The verdicts of a pair depend only on the group it generates, so
+        # the 3,888 pairs show 7 verdict sequences in their own combo order
+        # and the sweep builds 7 lists of row bodies.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        caches, pairs = [], 0
+        combos, emit = harness._combos, harness._emit
+
+        def keeping(*args):
+            made = combos(*args)
+            caches.append(made[3])
+            return made
+
+        def counting(*args):
+            nonlocal pairs
+            pairs += 1
+            emit(*args)
+
+        monkeypatch.setattr(harness, "_combos", keeping)
+        monkeypatch.setattr(harness, "_emit", counting)
+        buf = io.StringIO()
+        verify_theorem1(CampaignConfig(3, 4, ops=_ops("xor", "xnor")),
+                        out=buf)
+        assert pairs == 3888 and len(caches) == 1
+        assert len(caches[0]) == 7
+        assert all(len(bodies) == 168 for bodies in caches[0].values())
+        assert hashlib.sha256(buf.getvalue().encode("ascii")).hexdigest() == (
+            "e2c154aea89bacf7170d0c2ea3d088e2faf384c32501ddf859b0238be3837d67")
+
 
 class TestSampling:
     def test_requires_sample_mode(self):
