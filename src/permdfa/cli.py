@@ -1,7 +1,8 @@
 """Command line entry points.
 
 Exit codes: 0 success, 1 a verification campaign found a failing instance
-(or the two judgement routes disagreed), 2 usage or input errors.
+(or the two judgement routes disagreed), 2 usage or input errors, or a
+command that ran out of memory.
 """
 
 import argparse
@@ -183,6 +184,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, CapExceededError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")
 

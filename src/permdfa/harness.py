@@ -8,11 +8,12 @@ exactly when the oracle count equals m*n, and every count below m*n is
 recomputed by the table-filling oracle; a disagreement aborts the whole
 campaign, because it would mean one of the routes is wrong.
 
-A campaign judges a basis pair on its combos, the (F, F', op) choices of
-its rows, into an entry (_Judged) that holds the verdicts and their tally,
-then emits the entry (_emit): the one place that writes rows, builds
-VerificationRecords and raises TwoPathDisagreement (a forked child's rows
-are copied as _emit wrote them there); CampaignResult._add adds the tally.
+A campaign judges a basis pair on all of its combos, the (F, F', op)
+choices of its rows, into an entry (_Judged) that holds the verdicts and
+their tally, then emits the entry (_emit): the one place that writes rows,
+builds VerificationRecords and raises TwoPathDisagreement, which ends the
+rows at the pair's first disagreement (a forked child's rows are copied as
+_emit wrote them there); CampaignResult._add adds the tally.
 Complementing the product's finals changes neither the Nerode partition
 nor which pair-graph components hold a distinguishing pair, so judging a
 pair judges each {mask, ~mask} once.
@@ -34,9 +35,10 @@ most 31.
 Both modes cut their work items (basis pairs, samples) into contiguous
 ranges, one per CPU, and judge them through one driver (_split): this
 process judges the first range of a round and forked children the others,
-each spooling its rows to a memfd that this process copies into the report
-in range order.  A child's range holds a bounded number of rows, so a large
-campaign runs in rounds and no spool outgrows about 64 MiB.
+each writing its tallies and then its rows to a memfd spool, which this
+process reads back once the child has exited, copying the rows into the
+report in range order.  A child's range holds a bounded number of rows, so
+a large campaign runs in rounds and no spool outgrows about 64 MiB.
 
 The reproduction reports live in reproductions; reproduce and
 REPRODUCE_IDS are re-exported here.
@@ -48,12 +50,13 @@ byte-identical.
 """
 
 import io
-import marshal
 import os
 import random
+import struct
 import sys
 from collections import namedtuple
 from functools import lru_cache, partial
+from itertools import islice
 from operator import add, itemgetter
 from typing import Callable, List, Optional, Sequence, TextIO, Tuple
 
@@ -131,6 +134,10 @@ _SPOOL_ROWS = 1 << 19
 # The CampaignResult counts of a tally (a _Judged entry's, a child's range's).
 _TALLIES = ("total", "n_pass", "n_exception", "n_fail", "n_conjugate",
             "below_mn")
+
+# A forked range's spool starts with this header, its tallies in _TALLIES
+# order as 8-byte little-endian counts; its rows follow.
+_HEADER = struct.Struct(f"<{len(_TALLIES)}Q")
 
 # signal.SIGKILL; importing signal would add a millisecond to every start.
 _SIGKILL = 9
@@ -337,15 +344,12 @@ def _judge_mask(ctx: _PairContext, flat: int):
 
 
 class _Judged:
-    """A basis pair judged on its combos' finals masks, each {mask, ~mask}
-    once: the verdicts (as _judge_mask gives them) in combo order, their
-    verdict texts, and one tally of them.
+    """A basis pair judged on every one of its combos' finals masks, each
+    {mask, ~mask} once: the verdicts (as _judge_mask gives them) in combo
+    order, their verdict texts, and one tally of them, its counts in
+    _TALLIES order."""
 
-    The tally holds the counts in _TALLIES order; disagree_at is the index
-    of the disagreement that ends judging, or None.
-    """
-
-    __slots__ = ("verdicts", "texts", "tally", "disagree_at")
+    __slots__ = ("verdicts", "texts", "tally")
 
     def __init__(self, ctx: _PairContext, masks):
         full = (1 << ctx.mn) - 1
@@ -357,8 +361,6 @@ class _Judged:
             if verdict is None:
                 verdict = memo[key] = _judge_mask(ctx, flat)
             verdicts.append(verdict)
-            if verdict[3]:
-                break
         _, oracles, statuses, _, self.texts = zip(*verdicts)
         count = len(verdicts)
         self.tally = (
@@ -367,7 +369,6 @@ class _Judged:
             count if ctx.conjugate else 0,
             # below_mn counts non-conjugate rows; no count exceeds m*n
             0 if ctx.conjugate else count - oracles.count(ctx.mn))
-        self.disagree_at = len(verdicts) - 1 if verdicts[-1][3] else None
 
 
 def _emit(head, combos, entry: _Judged, pick: Optional[itemgetter],
@@ -378,10 +379,20 @@ def _emit(head, combos, entry: _Judged, pick: Optional[itemgetter],
 
     entry was judged for this pair (pick None) or for its orbit's
     representative, whose verdicts pick lists in this pair's combo order.
-    Records are built only for sink, for the campaign's first FAIL and for
-    a disagreement, which ends the rows and raises TwoPathDisagreement.
+    The pair's first disagreement in that order ends its rows and its
+    records and raises TwoPathDisagreement; result, which the campaign
+    drops with the exception, takes the whole tally, so a forked range
+    counts the FAIL.  Records are built only for sink and for a pair with
+    a FAIL: the campaign's first FAIL and a disagreement.
     """
     choices, _, texts, bodies = combos
+    n_fail = entry.tally[3]
+    stop = None
+    if sink is not None or n_fail:
+        verdicts = entry.verdicts if pick is None else pick(entry.verdicts)
+        if n_fail:
+            # a disagreement is a FAIL
+            stop = next((i + 1 for i, v in enumerate(verdicts) if v[3]), None)
     if out is not None:
         # each row is the pair's prefix and a body: the combo text and the
         # verdict text, which ends the row
@@ -390,30 +401,29 @@ def _emit(head, combos, entry: _Judged, pick: Optional[itemgetter],
         if pair_bodies is None:
             pair_bodies = bodies[verdict_texts] = list(
                 map(add, texts, verdict_texts))
+        if stop is not None:
+            pair_bodies = pair_bodies[:stop]
         prefix = _row_prefix(*head)
         out.write(prefix + prefix.join(pair_bodies))
     result._add(entry.tally)
-    n_fail = entry.tally[3]
     if sink is None and not n_fail:
         return
-    verdicts = entry.verdicts if pick is None else pick(entry.verdicts)
-
-    def record(i):
-        return VerificationRecord._make(head + choices[i] + verdicts[i][:3])
-
+    # _make, not the class: its __new__ takes twelve arguments in Python,
+    # which doubles the cost of a record, and a sink gets one per row
+    records = islice(map(VerificationRecord._make, map(
+        add, map(head.__add__, choices),
+        map(itemgetter(slice(3)), verdicts))), stop)
+    if n_fail:
+        records = list(records)
+        if result.first_fail is None:
+            result.first_fail = next(
+                rec for rec in records if rec.status == STATUS_FAIL)
     if sink is not None:
-        # _make, not the class: its __new__ takes twelve arguments in
-        # Python, which doubles the cost of a record, and a sink gets one
-        # per row
-        for rec in map(VerificationRecord._make, map(
-                add, map(head.__add__, choices),
-                map(itemgetter(slice(3)), verdicts))):
+        for rec in records:
             sink(rec)
-    if n_fail and result.first_fail is None:
-        result.first_fail = record([v[2] for v in verdicts].index(STATUS_FAIL))
-    if entry.disagree_at is not None:
-        at = entry.disagree_at
-        raise TwoPathDisagreement(record(at).tsv_row(), *verdicts[at][3])
+    if stop is not None:
+        raise TwoPathDisagreement(records[-1].tsv_row(),
+                                  *verdicts[stop - 1][3])
 
 
 def evaluate_instance(
@@ -520,9 +530,9 @@ def _sweep(config: CampaignConfig):
     s^-1(0)) on (r^-1 F, s^-1 F', op).  The letters permute the product
     states, so an entry serves every start its context reaches: one per
     connected orbit, two per conjugate one (the diagonal and the
-    off-diagonal; S_n is 2-transitive).  An entry that holds a disagreement
-    stops at the representative's first, so the pair that meets it is
-    judged directly and ends at its own.
+    off-diagonal; S_n is 2-transitive).  An entry holds a verdict for every
+    combo, so a pair that meets a disagreement ends at its own first, which
+    _emit finds through the pair's pick.
     """
     m, n = config.m, config.n
     ops = config.resolved_ops()
@@ -553,8 +563,8 @@ def _sweep(config: CampaignConfig):
 
     def judge(result, sink, out, start, stop):
         for index in range(start, stop):
-            b1, rep1, b1_text, f_offsets, i0 = left[index // width]
-            b2, rep2, b2_text, g_offsets, j0 = right[index % width]
+            _, rep1, b1_text, f_offsets, i0 = left[index // width]
+            _, rep2, b2_text, g_offsets, j0 = right[index % width]
             flags, entry = judged[rep1, rep2, i0 * n + j0]
             head = (m, n, b1_text, b2_text, *flags)
             # pick(xs) lists xs at the representative's index of each combo;
@@ -565,9 +575,6 @@ def _sweep(config: CampaignConfig):
                 pick = picks[f_offsets, g_offsets] = itemgetter(*[
                     positions[f + g + x]
                     for f in f_offsets for g in g_offsets for x in range(k)])
-            if entry.disagree_at is not None:
-                ctx = _PairContext(b1, b2)
-                head, pick, entry = ctx.head, None, _Judged(ctx, combos[1])
             _emit(head, combos, entry, pick, result, sink, out)
 
     return judge, len(left) * width, len(combos[0])
@@ -648,15 +655,15 @@ def _split(judge, count: int, rows: int, minimum: int, items: str,
     per CPU, and into rounds of one range per CPU when a range would hold
     more than _SPOOL_ROWS rows.  In each round this process judges the
     first range and streams its rows; a forked child judges each other
-    range (_fork_range) into a memfd spool, which is copied into out in
-    range order once this process is done with its own range.  A range
-    whose tallies count a FAIL is judged again here instead, since an item
-    depends only on the campaign and its index: _emit then sets first_fail
-    and raises a TwoPathDisagreement at its row.  So the report, result and
-    exceptions are those of judging every item here.  A sink takes records
-    in this process, so it gets one range, and so does a process running
-    other threads, where a forked child could inherit a lock that a thread
-    held.
+    range (_fork_range) into a memfd spool that holds its tallies and its
+    rows, which are copied into out in range order once this process is
+    done with its own range.  A range whose tallies count a FAIL is judged
+    again here instead, since an item depends only on the campaign and its
+    index: _emit then sets first_fail and raises a TwoPathDisagreement at
+    its row.  So the report, result and exceptions are those of judging
+    every item here.  A sink takes records in this process, so it gets one
+    range, and so does a process running other threads, where a forked
+    child could inherit a lock that a thread held.
     """
     # a process that started a thread has imported threading
     threading = sys.modules.get("threading")
@@ -671,76 +678,63 @@ def _split(judge, count: int, rows: int, minimum: int, items: str,
     if cpus > 1:
         ranges = cpus * -(-count // (cpus * max(1, _SPOOL_ROWS // rows)))
     bounds = [count * r // ranges for r in range(ranges + 1)]
-    children = {}  # pid -> (read end of its pipe, spool, start, stop)
+    children = {}  # pid -> (spool, start, stop)
     spools = []  # the round's spools, closed at its end
     try:
         for first in range(0, ranges, cpus):
             for r in range(first + 1, first + cpus):
-                spool = None
-                if out is not None:
-                    spool = os.memfd_create("permdfa-range")
-                    spools.append(spool)
-                _fork_range(judge, result.config, children, spool,
-                            bounds[r], bounds[r + 1])
+                spools.append(os.memfd_create("permdfa-range"))
+                _fork_range(judge, result.config, children, spools[-1],
+                            out is not None, bounds[r], bounds[r + 1])
             judge(result, sink, out, bounds[first], bounds[first + 1])
-            for pid, (_, spool, start, stop) in list(children.items()):
+            for pid, (spool, start, stop) in list(children.items()):
                 tallies = _collect(children, pid, items)
                 if tallies[3]:  # n_fail
                     judge(result, None, out, start, stop)
                 else:
-                    if spool is not None:
+                    if out is not None:
                         _copy_spool(spool, out)
                     result._add(tallies)
             while spools:
                 os.close(spools.pop())
     finally:
         # children not reaped yet belong to a campaign that was abandoned
-        for pid, (fd, _, _, _) in children.items():
-            os.close(fd)
+        for pid in children:
             os.kill(pid, _SIGKILL)
             os.waitpid(pid, 0)
         while spools:
             os.close(spools.pop())
 
 
-def _fork_range(judge, config: CampaignConfig, children: dict,
-                spool: Optional[int], start: int, stop: int) -> None:
-    """Fork a child that judges items start..stop-1, writes its rows as
-    _emit wrote them to the memfd spool (when there is one) and sends back
-    its tallies, in _TALLIES order, as one marshal payload.  A
-    TwoPathDisagreement ends the range; its FAIL is counted.  children maps
-    the child's pid to the read end of its pipe, the spool and the range."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
+def _fork_range(judge, config: CampaignConfig, children: dict, spool: int,
+                report: bool, start: int, stop: int) -> None:
+    """Fork a child that judges items start..stop-1 into the memfd spool:
+    its tallies as a _HEADER, then, when report is true, its rows as _emit
+    wrote them.  A TwoPathDisagreement ends the range; its FAIL is counted.
+    children maps the child's pid to the spool and the range."""
+    pid = os.fork()
     if pid:
-        os.close(write_fd)
-        children[pid] = (read_fd, spool, start, stop)
+        children[pid] = (spool, start, stop)
         return
     # The child leaves only through os._exit, so it never returns into the
     # caller and never flushes the buffers it inherited.
     status = 1
     try:
-        os.close(read_fd)
         part = CampaignResult(config)
-        # io.open, not open: the report's opener may be replaced
-        out = None if spool is None else io.open(
-            spool, "w", encoding="ascii", closefd=False)
+        out = None
+        if report:
+            os.lseek(spool, _HEADER.size, os.SEEK_SET)
+            # io.open, not open: the report's opener may be replaced
+            out = io.open(spool, "w", encoding="ascii", closefd=False)
         try:
             judge(part, None, out, start, stop)
         except TwoPathDisagreement:
             pass  # its FAIL is counted, so the parent judges the range again
         if out is not None:
             out.flush()
-        payload = memoryview(marshal.dumps(
-            [getattr(part, name) for name in _TALLIES]))
-        while payload:
-            payload = payload[os.write(write_fd, payload):]
-        status = 0
+        header = _HEADER.pack(*[getattr(part, name) for name in _TALLIES])
+        if os.pwrite(spool, header, 0) == _HEADER.size:
+            status = 0
     except Exception:
         sys.excepthook(*sys.exc_info())
     finally:
@@ -748,28 +742,21 @@ def _fork_range(judge, config: CampaignConfig, children: dict,
 
 
 def _collect(children: dict, pid: int, items: str):
-    """Read the tallies of one of the children, reap it and return the
-    tallies."""
-    fd, _, start, stop = children[pid]
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
+    """Reap one of the children and return the tallies in its spool."""
+    spool, start, stop = children[pid]
     status = os.waitpid(pid, 0)[1]
     del children[pid]
-    os.close(fd)
-    what = f"the child process judging {items} {start} to {stop - 1}"
     if status:
         raise RuntimeError(
-            f"{what} failed (exit code {os.waitstatus_to_exitcode(status)})")
-    try:
-        return marshal.loads(b"".join(chunks))
-    except (EOFError, ValueError, TypeError):
-        raise RuntimeError(f"{what} sent a short payload") from None
+            f"the child process judging {items} {start} to {stop - 1} failed"
+            f" (exit code {os.waitstatus_to_exitcode(status)})")
+    return _HEADER.unpack(os.pread(spool, _HEADER.size, 0))
 
 
 def _copy_spool(spool: int, out: TextIO) -> None:
-    """Write the rows in a spool to out, 64 KiB at a time."""
-    offset = 0
+    """Write the rows in a spool, after its tallies, to out, 64 KiB at a
+    time."""
+    offset = _HEADER.size
     while chunk := os.pread(spool, 1 << 16, offset):
         offset += len(chunk)
         out.write(chunk.decode("ascii"))

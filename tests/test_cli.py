@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
+
+from permdfa import cli, harness
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -265,6 +269,18 @@ class TestVerify:
         assert r.stderr == ("error: '0011' depends on at most one argument;"
                             " campaigns only cover proper operations\n")
 
+    def test_out_of_memory_exits_two(self, monkeypatch, capsys, tmp_path):
+        # a campaign too large for memory, such as --m 1000 --n 1000, fails
+        # in product.all_distinguished; in one range it fails in this process
+        def exhausted(actions, flat, state_count):
+            raise MemoryError
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(harness, "all_distinguished", exhausted)
+        assert cli.main(["verify", "--m", "2", "--n", "3", "--exhaustive",
+                         "--out", str(tmp_path / "report.tsv")]) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
+
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     def test_seed_outside_64_bits(self, seed):
         # splitmix64 keeps 64 bits of the seed, so such a seed would repeat
@@ -329,15 +345,29 @@ class TestPinnedReports:
 
     @pytest.mark.parametrize("args,sha256,summary", CASES)
     def test_report_digest(self, tmp_path, args, sha256, summary):
+        # Reports reach hundreds of megabytes, so --out names a FIFO that a
+        # thread hashes 1 MiB at a time, and no report reaches the disk.
         out = tmp_path / "report.tsv"
-        r = run_cli("verify", *args, "--out", str(out))
+        os.mkfifo(out)
+        digest = hashlib.sha256()
+
+        def hash_report():
+            with out.open("rb") as fh:
+                while chunk := fh.read(1 << 20):
+                    digest.update(chunk)
+
+        reader = threading.Thread(target=hash_report)
+        reader.start()
+        try:
+            r = run_cli("verify", *args, "--out", str(out))
+        finally:
+            if reader.is_alive():
+                # a writer that never opened the FIFO leaves the reader
+                # waiting in open; an empty write end releases it
+                os.close(os.open(out, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join()
         assert r.returncode == 0
         assert r.stderr == summary + "\n"
-        # reports reach hundreds of megabytes; hash them 1 MiB at a time
-        digest = hashlib.sha256()
-        with out.open("rb") as fh:
-            while chunk := fh.read(1 << 20):
-                digest.update(chunk)
         assert digest.hexdigest() == sha256
 
     def test_benchmark_references_agree(self):

@@ -4,7 +4,6 @@ import bisect
 import collections
 import hashlib
 import io
-import marshal
 import os
 import random
 import sys
@@ -409,12 +408,9 @@ class TestPinnedInstances:
                                   BoolFn.by_name("and"))
 
 
-@lru_cache(maxsize=None)
-def _unreduced_records(m, n, ops):
-    """Every exhaustive instance in stream order, each judged by
-    evaluate_instance, which builds a fresh pair context per instance and
-    so reuses no verdict of another mask or another basis pair."""
-    records = []
+def _unreduced_instances(m, n, ops):
+    """The arguments of evaluate_instance for every exhaustive instance, in
+    stream order."""
     for b1 in enumerate_bases(m):
         for b2 in enumerate_bases(n):
             for fmask in range(1, (1 << m) - 1):
@@ -422,9 +418,16 @@ def _unreduced_records(m, n, ops):
                 for gmask in range(1, (1 << n) - 1):
                     right = [j for j in range(n) if gmask >> j & 1]
                     for op in ops:
-                        records.append(evaluate_instance(
-                            b1, b2, left, right, op))
-    return records
+                        yield b1, b2, left, right, op
+
+
+@lru_cache(maxsize=None)
+def _unreduced_records(m, n, ops):
+    """Every exhaustive instance in stream order, each judged by
+    evaluate_instance, which builds a fresh pair context per instance and
+    so reuses no verdict of another mask or another basis pair."""
+    return [evaluate_instance(*instance)
+            for instance in _unreduced_instances(m, n, ops)]
 
 
 def _evaluate_row(row):
@@ -736,6 +739,44 @@ class TestOrbitReduction:
         moore = int(fields[10])
         assert (info.value.moore, info.value.table_filling) == (
             moore, moore + 1)
+
+    def test_disagreement_cut_through_a_pick(self, monkeypatch):
+        # Table filling counts one state short only where Moore counts 6, so
+        # only some rows of a context disagree.  3x3 and meets one first in
+        # pair 4, (b, c) with b the first basis and c = s*b*s^-1 != b,
+        # whose entry is that of (b, b) from (0, s^-1(0)): the pair's first
+        # disagreement is its first combo, the entry's is its second.  (At
+        # 3x4 the first pair of each orbit in the sweep is its
+        # representative, which takes its entry through an identity pick.)
+        ops = _ops("and")
+        real = harness.distinguishability_complexity
+        monkeypatch.setattr(harness, "distinguishability_complexity",
+                            lambda d: real(d) - (real(d) == 6))
+        buf = io.StringIO()
+        with pytest.raises(TwoPathDisagreement) as info:
+            verify_theorem1(CampaignConfig(3, 3, ops=ops), out=buf)
+        rows = buf.getvalue().splitlines()[1:]
+        # judging every instance directly and in order flags the same row
+        for index, instance in enumerate(_unreduced_instances(3, 3, ops)):
+            try:
+                evaluate_instance(*instance)
+            except TwoPathDisagreement as exc:
+                flagged = exc.row
+                break
+        assert len(rows) == index + 1 == 4 * 36 + 1
+        assert rows[-1] == info.value.row == flagged
+        assert (info.value.moore, info.value.table_filling) == (6, 5)
+        b, c = instance[:2]
+        _, rep, s = basis_orbits(3)[4]
+        assert c == enumerate_bases(3)[4] != b == enumerate_bases(3)[rep]
+        ctx = harness._PairContext(b, b, s.image.index(0))
+        masks = harness._combos(3, 3, [
+            (left, right, op) for _, _, left, right, op
+            in _unreduced_instances(3, 3, ops)][:36])[1]
+        entry = harness._Judged(ctx, masks)
+        assert [i for i, v in enumerate(entry.verdicts) if v[3]][0] == 1
+        # the entry holds every combo's verdict, and its tally every row
+        assert len(entry.verdicts) == entry.tally[0] == len(masks) == 36
 
     # 3x3 covers the sink records of conjugate pairs
     @pytest.mark.parametrize("m,n,op,total", [
@@ -1096,9 +1137,9 @@ class TestSplitSamples:
         ranges = []  # of the children
         real = harness._fork_range
 
-        def recording(judge, config, children, spool, start, stop):
+        def recording(judge, config, children, spool, report, start, stop):
             ranges.append((start, stop))
-            return real(judge, config, children, spool, start, stop)
+            return real(judge, config, children, spool, report, start, stop)
 
         monkeypatch.setattr(harness, "_fork_range", recording)
         forks = split(cpus)
@@ -1148,21 +1189,53 @@ class TestSplitSamples:
                                match=what + r" failed \(exit code 1\)"):
                 verify_theorem1(config)
 
-    def test_short_payload_raises(self, split, monkeypatch):
+    def test_short_header_write_fails_the_child(self, split, monkeypatch):
+        # a child whose tallies do not all reach its spool exits 1
+        pwrite = os.pwrite
+        monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: pwrite(
+            fd, data[:-1], offset))
         split(2)
-
-        class Truncating:
-            loads = staticmethod(marshal.loads)
-
-            @staticmethod
-            def dumps(value):
-                return marshal.dumps(value)[:-1]
-
-        monkeypatch.setattr(harness, "marshal", Truncating)
-        with pytest.raises(RuntimeError, match="samples 10 to 19 sent a"
-                                               " short payload"):
+        with pytest.raises(RuntimeError, match=r"samples 10 to 19 failed"
+                                               r" \(exit code 1\)"):
             verify_theorem1(CampaignConfig(3, 3, mode="sample",
                                            sample_count=20, seed=1))
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd")
+    def test_split_campaigns_close_every_descriptor(self, split,
+                                                    monkeypatch):
+        parent = os.getpid()
+        real = harness._emit
+        config = CampaignConfig(2, 3)
+
+        def open_descriptors():
+            return sorted(os.listdir("/proc/self/fd"))
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        def broken(*args):
+            if os.getpid() != parent:
+                raise ValueError("broken in a child")
+            return real(*args)
+
+        # keep the failing child's traceback off stderr
+        monkeypatch.setattr(sys, "excepthook", lambda *exc_info: None)
+        before = open_descriptors()
+        split(3)
+        verify_theorem1(config, out=io.StringIO())
+        for emit, raised in ((interrupted, KeyboardInterrupt),
+                             (broken, RuntimeError)):
+            monkeypatch.setattr(harness, "_emit", emit)
+            with pytest.raises(raised):
+                verify_theorem1(config, out=io.StringIO())
+        monkeypatch.setattr(harness, "_emit", real)
+        _moore_short_on_the_last_left_basis(monkeypatch)
+        with pytest.raises(TwoPathDisagreement):
+            verify_theorem1(config, out=io.StringIO())
+        assert open_descriptors() == before
 
 
 class TestConnectivityCheck:
