@@ -32,13 +32,13 @@ group its letters generate on the product states, and few groups occur, so
 the 3,888 pairs of 3x4 show 7 verdict sequences and the 46,656 of 4x4 at
 most 31.
 
-Both modes cut their work items (basis pairs, samples) into contiguous
-ranges, one per CPU, and judge them through one driver (_split): this
-process judges the first range of a round and forked children the others,
-each writing its tallies and then its rows to a memfd spool, which this
-process reads back once the child has exited, copying the rows into the
-report in range order.  A child's range holds a bounded number of rows, so
-a large campaign runs in rounds and no spool outgrows about 64 MiB.
+An exhaustive campaign judges every basis pair in this process (_sweep).
+A sampled campaign cuts its samples into contiguous ranges, one per CPU
+(_split): this process judges the first range of a round and forked
+children the others, each writing its tallies and then its rows to a
+memfd spool, which this process copies into the report in sample order
+once the child has exited.  A range holds at most _SPOOL_ROWS samples, so
+a large campaign runs in rounds.
 
 The reproduction reports live in reproductions; reproduce and
 REPRODUCE_IDS are re-exported here.
@@ -55,7 +55,7 @@ import random
 import struct
 import sys
 from collections import namedtuple
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import islice
 from operator import add, itemgetter
 from typing import Callable, List, Optional, Sequence, TextIO, Tuple
@@ -112,24 +112,23 @@ CONJUGATE_SAMPLE_STRIDE = 8
 
 _MASK64 = (1 << 64) - 1
 
-# A campaign gets one range of work items per CPU the process may use, but
-# no range of fewer rows than these.  A forked range costs the campaign 3 to
-# 6 ms on a 2-CPU host, copy-on-write faults in both processes included:
-# the time of about 16 samples at degree 5 and 40 at degrees 2 and 3.  A
-# sweep's row costs 0.10 to 0.15 us to write to a file and about 0.05 us to
-# copy from a spool, so a sweep gains from about 130,000 rows a range, in
-# medians of 15 to 21 alternating runs on a 2-CPU host: 3x3 with all
-# operations (116,640 rows) took 26 to 38 ms in one range and 31 to 39 ms
-# in two, 2x4 with all operations (181,440 rows) 45 to 57 and 51 to 55 ms,
-# 3x4 and (326,592 rows) 147 and 126 ms.
+# A sampled campaign gets one range per CPU the process may use, but no
+# range of fewer samples than this.  A forked range costs 3 to 6 ms on a
+# 2-CPU host, copy-on-write faults in both processes included: the time of
+# about 16 samples at degree 5 and 40 at degrees 2 and 3.
 _MIN_SAMPLE_RANGE = 32
-_MIN_SWEEP_ROWS = 1 << 17
 
-# A forked range holds at most this many rows, so that its spool stays
-# within about 64 MiB: a row takes 50 to 125 bytes up to degree 5, which
-# covers every exhaustive campaign.  A campaign with more rows runs in
-# rounds.
+# A range holds at most this many samples, one row each; a campaign with
+# more runs in rounds.  The median sampled row takes 86 bytes at 5x5, 140 at
+# 10x10, 289 at 20x20 and about 590 at 40x40, so a full range's spool takes
+# about 43, 70, 144 and 295 MiB.
 _SPOOL_ROWS = 1 << 19
+
+# A sweep copies its rows into the report whenever its batch holds this
+# many characters, not once per pair (about 12 KB at 3x4 xor,xnor): on the
+# exhaustive-3x4-xor benchmark, 2-CPU host, one write per pair read 7.7 to
+# 8.5M instances/s and 64 KiB batches 9.2 to 9.7M.
+_BATCH = 1 << 16
 
 # The CampaignResult counts of a tally (a _Judged entry's, a child's range's).
 _TALLIES = ("total", "n_pass", "n_exception", "n_fail", "n_conjugate",
@@ -298,7 +297,7 @@ def _combos(m: int, n: int, choices):
     (choices, masks, texts, bodies): the choices, each one's flat finals
     mask and row text, and an empty cache of row bodies for _emit, which
     maps the verdict texts of a pair, in combo order, to its rows without
-    the pair's prefix."""
+    the pair's prefix.  Every pair of a sweep shares one set of combos."""
     return (choices,
             [flat_final_mask(op, finals_to_mask(finals_left), m,
                              finals_to_mask(finals_right), n)
@@ -490,12 +489,9 @@ def verify_theorem1(
     if out is not None:
         out.write(REPORT_HEADER + "\n")
     if config.mode == "sample":
-        _split(partial(_sample_range, config), config.sample_count, 1,
-               _MIN_SAMPLE_RANGE, "samples", result, sink, out)
+        _split(config, result, sink, out)
     else:
-        judge, count, rows = _sweep(config)
-        _split(judge, count, rows, _MIN_SWEEP_ROWS, "basis pairs",
-               result, sink, out)
+        _sweep(config, result, sink, out)
     return result
 
 
@@ -513,26 +509,27 @@ def _relabelled_offsets(degree: int, stride: int):
     return table
 
 
-def _sweep(config: CampaignConfig):
-    """Exhaustive mode's set-up: return (judge, count, rows), where
-    judge(result, sink, out, start, stop) judges basis pairs start..stop-1
-    into result, sink and out, count is the number of basis pairs and rows
-    the rows of each.  Pair i * (right bases) + j is (left basis i, right
-    basis j), so pairs go in lexicographic order.
+def _sweep(config: CampaignConfig, result: CampaignResult,
+           sink: Optional[Callable[[VerificationRecord], None]],
+           out: Optional[TextIO]) -> None:
+    """Judge and emit every basis pair of an exhaustive campaign into
+    result, sink and out, in lexicographic order, in this process.
 
-    The tables are built here, once per campaign, so that forked children
-    inherit them: the combos every pair shares, the relabelled offsets of
-    both degrees, and the entry of one context per relabelling orbit and
-    start, so that no range judges one again.  Relabelling both bases by
-    (r, s) in S_m x S_n renames product state (i, j) as (r(i), s(j)), start
-    state included, so the pair (r*rep1*r^-1, s*rep2*s^-1) from (0, 0)
-    takes, for (F, F', op), the verdict of (rep1, rep2) from (r^-1(0),
-    s^-1(0)) on (r^-1 F, s^-1 F', op).  The letters permute the product
-    states, so an entry serves every start its context reaches: one per
-    connected orbit, two per conjugate one (the diagonal and the
+    The combos every pair shares, the relabelled offsets of both degrees,
+    and the entry of one context per relabelling orbit and start are built
+    first, so that no pair judges a context again.  Relabelling both bases
+    by (r, s) in S_m x S_n renames product state (i, j) as (r(i), s(j)),
+    start state included, so the pair (r*rep1*r^-1, s*rep2*s^-1) from
+    (0, 0) takes, for (F, F', op), the verdict of (rep1, rep2) from
+    (r^-1(0), s^-1(0)) on (r^-1 F, s^-1 F', op).  The letters permute the
+    product states, so an entry serves every start its context reaches: one
+    per connected orbit, two per conjugate one (the diagonal and the
     off-diagonal; S_n is 2-transitive).  An entry holds a verdict for every
     combo, so a pair that meets a disagreement ends at its own first, which
     _emit finds through the pair's pick.
+
+    _emit writes into a batch that out takes at each _BATCH characters and
+    at the end, so a TwoPathDisagreement still ends the report at its row.
     """
     m, n = config.m, config.n
     ops = config.resolved_ops()
@@ -559,25 +556,28 @@ def _sweep(config: CampaignConfig):
                 for state in ctx.reachable:
                     judged[rep1, rep2, state] = cached
     picks = {}
-    width = len(right)
-
-    def judge(result, sink, out, start, stop):
-        for index in range(start, stop):
-            _, rep1, b1_text, f_offsets, i0 = left[index // width]
-            _, rep2, b2_text, g_offsets, j0 = right[index % width]
-            flags, entry = judged[rep1, rep2, i0 * n + j0]
-            head = (m, n, b1_text, b2_text, *flags)
-            # pick(xs) lists xs at the representative's index of each combo;
-            # pairs with the same relabellings share it, and its indices
-            # come from positions, so cached getters add no ints.
-            pick = picks.get((f_offsets, g_offsets))
-            if pick is None:
-                pick = picks[f_offsets, g_offsets] = itemgetter(*[
-                    positions[f + g + x]
-                    for f in f_offsets for g in g_offsets for x in range(k)])
-            _emit(head, combos, entry, pick, result, sink, out)
-
-    return judge, len(left) * width, len(combos[0])
+    batch = None if out is None else io.StringIO()
+    try:
+        for _, rep1, b1_text, f_offsets, i0 in left:
+            for _, rep2, b2_text, g_offsets, j0 in right:
+                flags, entry = judged[rep1, rep2, i0 * n + j0]
+                # pick(xs) lists xs at the representative's index of each
+                # combo; pairs with the same relabellings share it, and its
+                # indices come from positions, so cached getters add no ints.
+                pick = picks.get((f_offsets, g_offsets))
+                if pick is None:
+                    pick = picks[f_offsets, g_offsets] = itemgetter(*[
+                        positions[f + g + x]
+                        for f in f_offsets for g in g_offsets
+                        for x in range(k)])
+                _emit((m, n, b1_text, b2_text, *flags), combos, entry, pick,
+                      result, sink, batch)
+                if batch is not None and batch.tell() >= _BATCH:
+                    out.write(batch.getvalue())
+                    batch = io.StringIO()
+    finally:
+        if batch is not None:
+            out.write(batch.getvalue())
 
 
 def _splitmix64(seed: int, index: int) -> int:
@@ -643,28 +643,28 @@ def _sample_range(config: CampaignConfig, result: CampaignResult,
                    result, sink, out)
 
 
-def _split(judge, count: int, rows: int, minimum: int, items: str,
-           result: CampaignResult,
+def _split(config: CampaignConfig, result: CampaignResult,
            sink: Optional[Callable[[VerificationRecord], None]],
            out: Optional[TextIO]) -> None:
-    """Judge count work items of rows report rows each, items start..stop-1
-    as judge(result, sink, out, start, stop) does, on every CPU the process
-    may use; items names them in errors.
+    """Judge a sampled campaign into result, sink and out on every CPU the
+    process may use.
 
-    The items are cut into contiguous ranges of at least minimum rows, one
-    per CPU, and into rounds of one range per CPU when a range would hold
-    more than _SPOOL_ROWS rows.  In each round this process judges the
-    first range and streams its rows; a forked child judges each other
-    range (_fork_range) into a memfd spool that holds its tallies and its
-    rows, which are copied into out in range order once this process is
-    done with its own range.  A range whose tallies count a FAIL is judged
-    again here instead, since an item depends only on the campaign and its
-    index: _emit then sets first_fail and raises a TwoPathDisagreement at
-    its row.  So the report, result and exceptions are those of judging
-    every item here.  A sink takes records in this process, so it gets one
-    range, and so does a process running other threads, where a forked
-    child could inherit a lock that a thread held.
+    The samples are cut into contiguous ranges of at least
+    _MIN_SAMPLE_RANGE, one per CPU, and into rounds of one range per CPU
+    when a range would hold more than _SPOOL_ROWS samples.  In each round
+    this process judges the first range and streams its rows; a forked
+    child judges each other range (_fork_range) into a memfd spool that
+    holds its tallies and its rows, which are copied into out in range
+    order once this process is done with its own range.  A range whose
+    tallies count a FAIL is judged again here instead, since a sample
+    depends only on the seed and its index: _emit then sets first_fail and
+    raises a TwoPathDisagreement at its row.  So the report, result and
+    exceptions are those of judging every sample here.  A sink takes
+    records in this process, so it gets one CPU, and so does a process
+    running other threads, where a forked child could inherit a lock that a
+    thread held.
     """
+    count = config.sample_count
     # a process that started a thread has imported threading
     threading = sys.modules.get("threading")
     cpus = 1
@@ -673,10 +673,8 @@ def _split(judge, count: int, rows: int, minimum: int, items: str,
             and hasattr(os, "memfd_create")
             and (threading is None or threading.active_count() == 1)):
         cpus = max(1, min(len(os.sched_getaffinity(0)),
-                          count * rows // minimum))
-    ranges = 1
-    if cpus > 1:
-        ranges = cpus * -(-count // (cpus * max(1, _SPOOL_ROWS // rows)))
+                          count // _MIN_SAMPLE_RANGE))
+    ranges = cpus * -(-count // (cpus * _SPOOL_ROWS))
     bounds = [count * r // ranges for r in range(ranges + 1)]
     children = {}  # pid -> (spool, start, stop)
     spools = []  # the round's spools, closed at its end
@@ -684,13 +682,14 @@ def _split(judge, count: int, rows: int, minimum: int, items: str,
         for first in range(0, ranges, cpus):
             for r in range(first + 1, first + cpus):
                 spools.append(os.memfd_create("permdfa-range"))
-                _fork_range(judge, result.config, children, spools[-1],
-                            out is not None, bounds[r], bounds[r + 1])
-            judge(result, sink, out, bounds[first], bounds[first + 1])
+                _fork_range(config, children, spools[-1], out is not None,
+                            bounds[r], bounds[r + 1])
+            _sample_range(config, result, sink, out, bounds[first],
+                          bounds[first + 1])
             for pid, (spool, start, stop) in list(children.items()):
-                tallies = _collect(children, pid, items)
+                tallies = _collect(children, pid)
                 if tallies[3]:  # n_fail
-                    judge(result, None, out, start, stop)
+                    _sample_range(config, result, None, out, start, stop)
                 else:
                     if out is not None:
                         _copy_spool(spool, out)
@@ -706,9 +705,9 @@ def _split(judge, count: int, rows: int, minimum: int, items: str,
             os.close(spools.pop())
 
 
-def _fork_range(judge, config: CampaignConfig, children: dict, spool: int,
+def _fork_range(config: CampaignConfig, children: dict, spool: int,
                 report: bool, start: int, stop: int) -> None:
-    """Fork a child that judges items start..stop-1 into the memfd spool:
+    """Fork a child that judges samples start..stop-1 into the memfd spool:
     its tallies as a _HEADER, then, when report is true, its rows as _emit
     wrote them.  A TwoPathDisagreement ends the range; its FAIL is counted.
     children maps the child's pid to the spool and the range."""
@@ -727,7 +726,7 @@ def _fork_range(judge, config: CampaignConfig, children: dict, spool: int,
             # io.open, not open: the report's opener may be replaced
             out = io.open(spool, "w", encoding="ascii", closefd=False)
         try:
-            judge(part, None, out, start, stop)
+            _sample_range(config, part, None, out, start, stop)
         except TwoPathDisagreement:
             pass  # its FAIL is counted, so the parent judges the range again
         if out is not None:
@@ -741,14 +740,14 @@ def _fork_range(judge, config: CampaignConfig, children: dict, spool: int,
         os._exit(status)
 
 
-def _collect(children: dict, pid: int, items: str):
+def _collect(children: dict, pid: int):
     """Reap one of the children and return the tallies in its spool."""
     spool, start, stop = children[pid]
     status = os.waitpid(pid, 0)[1]
     del children[pid]
     if status:
         raise RuntimeError(
-            f"the child process judging {items} {start} to {stop - 1} failed"
+            f"the child process judging samples {start} to {stop - 1} failed"
             f" (exit code {os.waitstatus_to_exitcode(status)})")
     return _HEADER.unpack(os.pread(spool, _HEADER.size, 0))
 

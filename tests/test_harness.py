@@ -44,10 +44,10 @@ class _Forks(list):
 
 @pytest.fixture
 def split(monkeypatch):
-    """A function that makes campaigns, sampled and exhaustive, cut their
-    work into one range per given CPU, however short, and returns the pids
-    forked from then on (a _Forks). At the end no child process may be
-    left."""
+    """A function that puts the given number of CPUs in the affinity mask,
+    so that sampled campaigns cut their samples into one range per CPU,
+    however short, and returns the pids forked from then on (a _Forks). At
+    the end no child process may be left."""
     forks = _Forks()
     alive = set()
     fork, waitpid = os.fork, os.waitpid
@@ -75,7 +75,6 @@ def split(monkeypatch):
     monkeypatch.setattr(os, "fork", counting_fork)
     monkeypatch.setattr(os, "waitpid", counting_waitpid)
     monkeypatch.setattr(harness, "_MIN_SAMPLE_RANGE", 1)
-    monkeypatch.setattr(harness, "_MIN_SWEEP_ROWS", 1)
     yield set_cpus
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -430,6 +429,16 @@ def _unreduced_records(m, n, ops):
             for instance in _unreduced_instances(m, n, ops)]
 
 
+def _first_flagged(m, n, ops):
+    """(index, instance, row) of the first exhaustive instance, in stream
+    order, that evaluate_instance flags with a TwoPathDisagreement."""
+    for index, instance in enumerate(_unreduced_instances(m, n, ops)):
+        try:
+            evaluate_instance(*instance)
+        except TwoPathDisagreement as exc:
+            return index, instance, exc.row
+
+
 def _evaluate_row(row):
     """The report row evaluate_instance gives for the instance of a row."""
     f = row.split("\t")
@@ -562,6 +571,19 @@ class _RowPicker:
             rows = text.splitlines()
             for index in self.wanted[lo:hi]:
                 self.rows[index] = rows[index - start]
+
+
+class _WriteLog(io.StringIO):
+    """A report stream that keeps the length of each write and whether the
+    write ends on a row boundary."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append((len(text), text.endswith("\n")))
+        return super().write(text)
 
 
 class _DigestStream:
@@ -757,12 +779,7 @@ class TestOrbitReduction:
             verify_theorem1(CampaignConfig(3, 3, ops=ops), out=buf)
         rows = buf.getvalue().splitlines()[1:]
         # judging every instance directly and in order flags the same row
-        for index, instance in enumerate(_unreduced_instances(3, 3, ops)):
-            try:
-                evaluate_instance(*instance)
-            except TwoPathDisagreement as exc:
-                flagged = exc.row
-                break
+        index, instance, flagged = _first_flagged(3, 3, ops)
         assert len(rows) == index + 1 == 4 * 36 + 1
         assert rows[-1] == info.value.row == flagged
         assert (info.value.moore, info.value.table_filling) == (6, 5)
@@ -777,6 +794,36 @@ class TestOrbitReduction:
         assert [i for i, v in enumerate(entry.verdicts) if v[3]][0] == 1
         # the entry holds every combo's verdict, and its tally every row
         assert len(entry.verdicts) == entry.tally[0] == len(masks) == 36
+
+    def test_sweep_rows_reach_the_report_in_whole_batches(self):
+        # 3x3 with all operations: 116,640 rows, about 6 MiB
+        log = _WriteLog()
+        verify_theorem1(CampaignConfig(3, 3), out=log)
+        report = log.getvalue()
+        assert hashlib.sha256(report.encode("ascii")).hexdigest() == (
+            "c141bf397bfc665993f6b73fc30337e35ee814bc519788acf60a848110ee5ed5")
+        header, *batches = log.writes  # the header is written on its own
+        assert header == (len(REPORT_HEADER) + 1, True)
+        assert len(batches) > 50
+        assert all(size >= 1 << 16 for size, _ in batches[:-1])
+        assert all(ends for size, ends in batches if size)
+
+    def test_disagreement_ends_a_batched_report_at_its_row(self,
+                                                           monkeypatch):
+        # 2x3 with all operations: the first pair of the last left basis
+        # disagrees at its first row, after more than 64 KiB of rows
+        _moore_short_on_the_last_left_basis(monkeypatch)
+        log = _WriteLog()
+        with pytest.raises(TwoPathDisagreement) as info:
+            verify_theorem1(CampaignConfig(2, 3), out=log)
+        rows = log.getvalue().splitlines()[1:]
+        index, _, flagged = _first_flagged(
+            2, 3, CampaignConfig(2, 3).resolved_ops())
+        assert len(rows) == index + 1 == 36 * 120 + 1
+        assert rows[-1] == info.value.row == flagged
+        sizes = [size for size, _ in log.writes[1:]]
+        assert len(sizes) > 2 and min(sizes[:-1]) >= 1 << 16
+        assert all(ends for _, ends in log.writes)
 
     # 3x3 covers the sink records of conjugate pairs
     @pytest.mark.parametrize("m,n,op,total", [
@@ -816,7 +863,6 @@ class TestOrbitReduction:
         # The verdicts of a pair depend only on the group it generates, so
         # the 3,888 pairs show 7 verdict sequences in their own combo order
         # and the sweep builds 7 lists of row bodies.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         caches, pairs = [], 0
         combos, emit = harness._combos, harness._emit
 
@@ -953,10 +999,17 @@ def _all_short_on_the_last_left_basis(monkeypatch):
         and real_prediction(actions, *rest))
 
 
+def _forks_expected(config, cpus):
+    """The children a campaign forks with cpus CPUs in the affinity mask and
+    no range minimum: one per extra CPU in sampled mode, none in a sweep."""
+    return cpus - 1 if config.mode == "sample" else 0
+
+
 class TestSplitSamples:
-    """A sampled campaign or an exhaustive sweep cut into ranges that forked
-    children judge gives the report, result and exceptions of judging every
-    sample or basis pair in one process."""
+    """A sampled campaign cut into ranges that forked children judge gives
+    the report, result and exceptions of judging every sample in one
+    process.  An exhaustive sweep judges every basis pair in this process,
+    whatever the affinity mask holds."""
 
     @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("config,sha256", [
@@ -973,6 +1026,7 @@ class TestSplitSamples:
         (CampaignConfig(4, 4, mode="sample", sample_count=24, seed=8), None),
         (CampaignConfig(4, 4, mode="sample", sample_count=24, seed=3), None),
         (CampaignConfig(4, 4, mode="sample", sample_count=12, seed=8), None),
+        # sweeps, which fork nothing
         (CampaignConfig(2, 3),
          "e8fc49ff9e60d8e514d256870a19d6dc13dae607a8d5404208e999377030a873"),
         (CampaignConfig(3, 3),
@@ -989,7 +1043,7 @@ class TestSplitSamples:
         buf = io.StringIO()
         assert verify_theorem1(config, out=buf) == result
         assert buf.getvalue() == report
-        assert len(forks) == cpus - 1
+        assert len(forks) == _forks_expected(config, cpus)
 
     @pytest.mark.parametrize("config,miscount,rows,cpus", [
         # 3x4 seed 2: the first shortfall, sample 33, is in this process's
@@ -998,8 +1052,8 @@ class TestSplitSamples:
             CampaignConfig(3, 4, mode="sample", sample_count=100, seed=2),
             _table_filling_off_by_one, 34, cpus, id=str(cpus))
         for cpus in (2, 3)] + [
-        # the 18 pairs of the last left basis are the last range for two
-        # CPUs and three; the first of them ends the report at its first row
+        # a sweep forks nothing; the first of the 18 pairs of the last left
+        # basis ends the report at its first row
         pytest.param(CampaignConfig(2, 3), _moore_short_on_the_last_left_basis,
                      36 * 120 + 1, cpus, id=f"sweep-{cpus}")
         for cpus in (2, 3)])
@@ -1015,7 +1069,7 @@ class TestSplitSamples:
             exc = info.value
             runs.append((buf.getvalue(), exc.row, exc.moore,
                          exc.table_filling, str(exc)))
-        assert len(forks) == cpus - 1
+        assert len(forks) == _forks_expected(config, cpus)
         assert runs[1] == runs[0]
         assert len(runs[0][0].splitlines()) == 1 + rows  # the header first
 
@@ -1027,12 +1081,12 @@ class TestSplitSamples:
             CampaignConfig(3, 4, mode="sample", sample_count=100, seed=2),
             None, 33, 4, cpus, id=str(cpus))
         for cpus in (2, 3)] + [
-        # 2x2: pairs 1, 2, 3, 5, 6 and 7 of 9 have shortfalls, so every
-        # range does, this process's first
+        # 2x2, in one process: pairs 1, 2, 3, 5, 6 and 7 of 9 have
+        # shortfalls
         pytest.param(CampaignConfig(2, 2), None, 43, 48, cpus,
                      id=f"sweep-{cpus}")
         for cpus in (2, 3)] + [
-        # 2x3: every row of the last 18 pairs fails, all in the last range
+        # 2x3, in one process: every row of the last 18 pairs fails
         pytest.param(CampaignConfig(2, 3), _all_short_on_the_last_left_basis,
                      36 * 120, 18 * 120, cpus, id=f"sweep-child-{cpus}")
         for cpus in (2, 3)])
@@ -1048,7 +1102,7 @@ class TestSplitSamples:
         assert serial.first_fail == records[first] and fails[0] == first
         forks = split(cpus)
         assert verify_theorem1(config) == serial
-        assert len(forks) == cpus - 1
+        assert len(forks) == _forks_expected(config, cpus)
 
     @pytest.mark.parametrize("fail", [False, True])
     def test_only_a_failing_range_is_judged_again(self, split, monkeypatch,
@@ -1124,22 +1178,19 @@ class TestSplitSamples:
         assert buf.getvalue() == _one_range_campaign(config)[0]
         assert forks == []
 
-    @pytest.mark.parametrize("cpus", [2, 3])
-    @pytest.mark.parametrize("config,rows,spool_rows", [
-        # 324 pairs of 360 rows, 20 pairs a range
-        (CampaignConfig(3, 3), 360, 20 * 360),
-        (CampaignConfig(5, 5, mode="sample", sample_count=1000, seed=1), 1,
-         100),
-    ], ids=["sweep-3x3", "5x5"])
-    def test_rounds(self, split, monkeypatch, config, rows, spool_rows, cpus):
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("config,spool_rows", [
+        (CampaignConfig(5, 5, mode="sample", sample_count=1000, seed=1), 100),
+    ], ids=["5x5"])
+    def test_rounds(self, split, monkeypatch, config, spool_rows, cpus):
         report, result = _one_range_campaign(config)
         monkeypatch.setattr(harness, "_SPOOL_ROWS", spool_rows)
         ranges = []  # of the children
         real = harness._fork_range
 
-        def recording(judge, config, children, spool, report, start, stop):
+        def recording(config, children, spool, report, start, stop):
             ranges.append((start, stop))
-            return real(judge, config, children, spool, report, start, stop)
+            return real(config, children, spool, report, start, stop)
 
         monkeypatch.setattr(harness, "_fork_range", recording)
         forks = split(cpus)
@@ -1148,7 +1199,8 @@ class TestSplitSamples:
         assert buf.getvalue() == report
         assert len(forks) == len(ranges) >= 3 * (cpus - 1)
         assert forks.peak == cpus - 1
-        assert max(stop - start for start, stop in ranges) * rows <= spool_rows
+        assert max((stop - start for start, stop in ranges),
+                   default=0) <= spool_rows
 
     def test_interrupt_kills_and_reaps_children(self, split, monkeypatch):
         parent = os.getpid()
@@ -1160,13 +1212,11 @@ class TestSplitSamples:
             return real(*args)
 
         monkeypatch.setattr(harness, "_emit", interrupted)
-        for config in (CampaignConfig(5, 5, mode="sample", sample_count=300,
-                                      seed=1),
-                       CampaignConfig(2, 3)):
-            forks = split(3)
-            with pytest.raises(KeyboardInterrupt):
-                verify_theorem1(config, out=io.StringIO())
-            assert len(forks) == 2
+        config = CampaignConfig(5, 5, mode="sample", sample_count=300, seed=1)
+        forks = split(3)
+        with pytest.raises(KeyboardInterrupt):
+            verify_theorem1(config, out=io.StringIO())
+        assert len(forks) == 2
 
     def test_failed_child_raises(self, split, monkeypatch):
         parent = os.getpid()
@@ -1180,14 +1230,11 @@ class TestSplitSamples:
         monkeypatch.setattr(harness, "_emit", broken)
         # keep the child's traceback off stderr
         monkeypatch.setattr(sys, "excepthook", lambda *exc_info: None)
-        for config, what in (
-                (CampaignConfig(3, 3, mode="sample", sample_count=20, seed=1),
-                 "samples 10 to 19"),
-                (CampaignConfig(2, 3), "basis pairs 27 to 53")):
-            split(2)
-            with pytest.raises(RuntimeError,
-                               match=what + r" failed \(exit code 1\)"):
-                verify_theorem1(config)
+        split(2)
+        with pytest.raises(RuntimeError, match=r"samples 10 to 19 failed"
+                                               r" \(exit code 1\)"):
+            verify_theorem1(CampaignConfig(3, 3, mode="sample",
+                                           sample_count=20, seed=1))
 
     def test_short_header_write_fails_the_child(self, split, monkeypatch):
         # a child whose tallies do not all reach its spool exits 1
@@ -1206,7 +1253,7 @@ class TestSplitSamples:
                                                     monkeypatch):
         parent = os.getpid()
         real = harness._emit
-        config = CampaignConfig(2, 3)
+        config = CampaignConfig(3, 4, mode="sample", sample_count=100, seed=2)
 
         def open_descriptors():
             return sorted(os.listdir("/proc/self/fd"))
@@ -1232,7 +1279,7 @@ class TestSplitSamples:
             with pytest.raises(raised):
                 verify_theorem1(config, out=io.StringIO())
         monkeypatch.setattr(harness, "_emit", real)
-        _moore_short_on_the_last_left_basis(monkeypatch)
+        _table_filling_off_by_one(monkeypatch)
         with pytest.raises(TwoPathDisagreement):
             verify_theorem1(config, out=io.StringIO())
         assert open_descriptors() == before

@@ -90,21 +90,22 @@ def test_import_loads_no_worker_modules():
             if m.split(".")[0] in WORKER_MODULES] == []
 
 
-def test_split_sweep_loads_no_worker_modules():
-    # a 2x4 sweep cut into two ranges, the second judged by a forked child
+def test_split_campaign_loads_no_worker_modules():
+    # 64 samples at 5x5 cut into two ranges, the second judged by a forked
+    # child
     out = modules_after_import(
         "import os\n"
         "from permdfa import harness\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "harness._MIN_SWEEP_ROWS = 1\n"
         "forks = []\n"
         "fork = os.fork\n"
         "os.fork = lambda: forks.append(fork()) or forks[-1]\n"
+        "config = harness.CampaignConfig(5, 5, mode='sample', sample_count=64,\n"
+        "                                seed=1)\n"
         "with open(os.devnull, 'w') as out:\n"
-        "    result = harness.verify_theorem1(harness.CampaignConfig(2, 4),\n"
-        "                                     out=out)\n"
+        "    result = harness.verify_theorem1(config, out=out)\n"
         "print(f'forks={len(forks)} total={result.total}')\n")
-    assert "forks=1" in out and "total=181440" in out
+    assert "forks=1" in out and "total=64" in out
     assert [m for m in out if m.split(".")[0] in WORKER_MODULES] == []
 
 
