@@ -10,7 +10,7 @@ import sys
 
 from .automaton import DFA, minimize, parse_automaton_text
 from .boolops import BoolFn
-from .errors import CapExceededError, TwoPathDisagreement
+from .errors import TwoPathDisagreement
 from .harness import CampaignConfig, REPRODUCE_IDS, reproduce, verify_theorem1
 from .perm import Basis, _conjugator_text, bases_conjugate
 from .product import (
@@ -182,7 +182,7 @@ def main(argv=None) -> int:
     except TwoPathDisagreement as exc:
         print(f"two-path disagreement: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, CapExceededError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

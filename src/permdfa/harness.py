@@ -12,8 +12,7 @@ A campaign judges a basis pair on all of its combos, the (F, F', op)
 choices of its rows, into an entry (_Judged) that holds the verdicts and
 their tally, then emits the entry (_emit): the one place that writes rows,
 builds VerificationRecords and raises TwoPathDisagreement, which ends the
-rows at the pair's first disagreement (a forked child's rows are copied as
-_emit wrote them there); CampaignResult._add adds the tally.
+rows at the pair's first disagreement; CampaignResult._add adds the tally.
 Complementing the product's finals changes neither the Nerode partition
 nor which pair-graph components hold a distinguishing pair, so judging a
 pair judges each {mask, ~mask} once.
@@ -36,9 +35,11 @@ An exhaustive campaign judges every basis pair in this process (_sweep).
 A sampled campaign cuts its samples into contiguous ranges, one per CPU
 (_split): this process judges the first range of a round and forked
 children the others, each writing its tallies and then its rows to a
-memfd spool, which this process copies into the report in sample order
-once the child has exited.  A range holds at most _SPOOL_ROWS samples, so
-a large campaign runs in rounds.
+memfd spool.  This process keeps a child's spool, copied into the report
+in sample order, only when the child exits with status 0, and judges
+every other range again itself, so what a failure looks like is decided
+in this process alone.  A range holds at most _SPOOL_ROWS samples, so a
+large campaign runs in rounds.
 
 The reproduction reports live in reproductions; reproduce and
 REPRODUCE_IDS are re-exported here.
@@ -140,6 +141,9 @@ _HEADER = struct.Struct(f"<{len(_TALLIES)}Q")
 
 # signal.SIGKILL; importing signal would add a millisecond to every start.
 _SIGKILL = 9
+
+# _emit's pick for an entry judged for the pair it emits: every verdict.
+_ALL = itemgetter(slice(None))
 
 
 # A report row is the pair's prefix, the combo's text and the verdict; the
@@ -370,32 +374,32 @@ class _Judged:
             0 if ctx.conjugate else count - oracles.count(ctx.mn))
 
 
-def _emit(head, combos, entry: _Judged, pick: Optional[itemgetter],
+def _emit(head, combos, entry: _Judged, pick: itemgetter,
           result: CampaignResult,
           sink: Optional[Callable[[VerificationRecord], None]],
           out: Optional[TextIO]) -> None:
     """Write a pair's rows, add its tally to result and give sink its records.
 
-    entry was judged for this pair (pick None) or for its orbit's
+    entry was judged for this pair (pick _ALL) or for its orbit's
     representative, whose verdicts pick lists in this pair's combo order.
     The pair's first disagreement in that order ends its rows and its
     records and raises TwoPathDisagreement; result, which the campaign
-    drops with the exception, takes the whole tally, so a forked range
-    counts the FAIL.  Records are built only for sink and for a pair with
-    a FAIL: the campaign's first FAIL and a disagreement.
+    drops with the exception, takes the whole tally.  Records are built
+    only for sink and for a pair with a FAIL: the campaign's first FAIL and
+    a disagreement.
     """
     choices, _, texts, bodies = combos
     n_fail = entry.tally[3]
     stop = None
     if sink is not None or n_fail:
-        verdicts = entry.verdicts if pick is None else pick(entry.verdicts)
+        verdicts = pick(entry.verdicts)
         if n_fail:
             # a disagreement is a FAIL
             stop = next((i + 1 for i, v in enumerate(verdicts) if v[3]), None)
     if out is not None:
         # each row is the pair's prefix and a body: the combo text and the
         # verdict text, which ends the row
-        verdict_texts = entry.texts if pick is None else pick(entry.texts)
+        verdict_texts = pick(entry.texts)
         pair_bodies = bodies.get(verdict_texts)
         if pair_bodies is None:
             pair_bodies = bodies[verdict_texts] = list(
@@ -454,7 +458,7 @@ def _judge_one(b1: Basis, b2: Basis, fmask: int, gmask: int, op: BoolFn,
     ctx = _PairContext(b1, b2)
     combos = _combos(ctx.m, ctx.n, [(mask_states(fmask, ctx.m),
                                      mask_states(gmask, ctx.n), op)])
-    _emit(ctx.head, combos, _Judged(ctx, combos[1]), None, result, sink, out)
+    _emit(ctx.head, combos, _Judged(ctx, combos[1]), _ALL, result, sink, out)
 
 
 def exhaustive_instance_count(config: CampaignConfig) -> int:
@@ -654,15 +658,16 @@ def _split(config: CampaignConfig, result: CampaignResult,
     when a range would hold more than _SPOOL_ROWS samples.  In each round
     this process judges the first range and streams its rows; a forked
     child judges each other range (_fork_range) into a memfd spool that
-    holds its tallies and its rows, which are copied into out in range
-    order once this process is done with its own range.  A range whose
-    tallies count a FAIL is judged again here instead, since a sample
-    depends only on the seed and its index: _emit then sets first_fail and
-    raises a TwoPathDisagreement at its row.  So the report, result and
-    exceptions are those of judging every sample here.  A sink takes
-    records in this process, so it gets one CPU, and so does a process
-    running other threads, where a forked child could inherit a lock that a
-    thread held.
+    holds its tallies and its rows.  Then this process reaps the children
+    in range order and keeps a range's spool only when its child exited
+    with status 0; it judges every other range again here, since a sample
+    depends only on the seed and its index.  So whatever ended a child's
+    range (a FAIL, a disagreement, an exception, a signal), the report,
+    result and exceptions are those of judging every sample here, and a
+    failure that only the child met costs that range's time once more.
+    A sink takes records in this process, so it gets one CPU, and so does
+    a process running other threads, where a forked child could inherit a
+    lock that a thread held.
     """
     count = config.sample_count
     # a process that started a thread has imported threading
@@ -687,13 +692,15 @@ def _split(config: CampaignConfig, result: CampaignResult,
             _sample_range(config, result, sink, out, bounds[first],
                           bounds[first + 1])
             for pid, (spool, start, stop) in list(children.items()):
-                tallies = _collect(children, pid)
-                if tallies[3]:  # n_fail
+                status = os.waitpid(pid, 0)[1]
+                del children[pid]
+                if status:
                     _sample_range(config, result, None, out, start, stop)
                 else:
                     if out is not None:
                         _copy_spool(spool, out)
-                    result._add(tallies)
+                    tallies = os.pread(spool, _HEADER.size, 0)
+                    result._add(_HEADER.unpack(tallies))
             while spools:
                 os.close(spools.pop())
     finally:
@@ -709,14 +716,16 @@ def _fork_range(config: CampaignConfig, children: dict, spool: int,
                 report: bool, start: int, stop: int) -> None:
     """Fork a child that judges samples start..stop-1 into the memfd spool:
     its tallies as a _HEADER, then, when report is true, its rows as _emit
-    wrote them.  A TwoPathDisagreement ends the range; its FAIL is counted.
-    children maps the child's pid to the spool and the range."""
+    wrote them.  The child exits with status 0 only when its range holds no
+    FAIL and the whole header reached the spool, and with status 1
+    otherwise, whatever ended the range.  children maps the child's pid to
+    the spool and the range."""
     pid = os.fork()
     if pid:
         children[pid] = (spool, start, stop)
         return
     # The child leaves only through os._exit, so it never returns into the
-    # caller and never flushes the buffers it inherited.
+    # caller, never flushes the buffers it inherited and prints nothing.
     status = 1
     try:
         part = CampaignResult(config)
@@ -725,31 +734,14 @@ def _fork_range(config: CampaignConfig, children: dict, spool: int,
             os.lseek(spool, _HEADER.size, os.SEEK_SET)
             # io.open, not open: the report's opener may be replaced
             out = io.open(spool, "w", encoding="ascii", closefd=False)
-        try:
-            _sample_range(config, part, None, out, start, stop)
-        except TwoPathDisagreement:
-            pass  # its FAIL is counted, so the parent judges the range again
+        _sample_range(config, part, None, out, start, stop)
         if out is not None:
             out.flush()
         header = _HEADER.pack(*[getattr(part, name) for name in _TALLIES])
-        if os.pwrite(spool, header, 0) == _HEADER.size:
+        if not part.n_fail and os.pwrite(spool, header, 0) == _HEADER.size:
             status = 0
-    except Exception:
-        sys.excepthook(*sys.exc_info())
     finally:
         os._exit(status)
-
-
-def _collect(children: dict, pid: int):
-    """Reap one of the children and return the tallies in its spool."""
-    spool, start, stop = children[pid]
-    status = os.waitpid(pid, 0)[1]
-    del children[pid]
-    if status:
-        raise RuntimeError(
-            f"the child process judging samples {start} to {stop - 1} failed"
-            f" (exit code {os.waitstatus_to_exitcode(status)})")
-    return _HEADER.unpack(os.pread(spool, _HEADER.size, 0))
 
 
 def _copy_spool(spool: int, out: TextIO) -> None:

@@ -271,15 +271,35 @@ class TestVerify:
 
     def test_out_of_memory_exits_two(self, monkeypatch, capsys, tmp_path):
         # a campaign too large for memory, such as --m 1000 --n 1000, fails
-        # in product.all_distinguished; in one range it fails in this process
+        # in product.all_distinguished, in this process on any number of CPUs
         def exhausted(actions, flat, state_count):
             raise MemoryError
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(harness, "all_distinguished", exhausted)
-        assert cli.main(["verify", "--m", "2", "--n", "3", "--exhaustive",
-                         "--out", str(tmp_path / "report.tsv")]) == 2
-        assert capsys.readouterr().err == "error: out of memory\n"
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            assert cli.main(["verify", "--m", "2", "--n", "3", "--exhaustive",
+                             "--out", str(tmp_path / "report.tsv")]) == 2
+            assert capsys.readouterr().err == "error: out of memory\n"
+
+    def test_out_of_memory_in_a_child_range_exits_two(self, monkeypatch,
+                                                       capsys):
+        # On two CPUs a forked child judges samples 50 to 99; the left basis
+        # of sample 60 first appears there, so only that range runs out of
+        # memory, and this process judges it again and fails the same way.
+        real = harness._PairContext
+
+        def context(b1, b2, start=0):
+            if str(b1) == "(0,1,3,4,2);(0,3,4)(1,2)":
+                raise MemoryError
+            return real(b1, b2, start)
+
+        monkeypatch.setattr(harness, "_PairContext", context)
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            assert cli.main(["verify", "--m", "5", "--n", "5", "--samples",
+                             "100", "--seed", "1", "--out", os.devnull]) == 2
+            assert capsys.readouterr().err == "error: out of memory\n"
 
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     def test_seed_outside_64_bits(self, seed):

@@ -6,7 +6,7 @@ import hashlib
 import io
 import os
 import random
-import sys
+import signal
 import threading
 from functools import lru_cache
 from pathlib import Path
@@ -1218,7 +1218,31 @@ class TestSplitSamples:
             verify_theorem1(config, out=io.StringIO())
         assert len(forks) == 2
 
-    def test_failed_child_raises(self, split, monkeypatch):
+    @staticmethod
+    def _second_range_judged_again(split, monkeypatch):
+        """Run 20 3x3 samples on 2 CPUs and check that they give the report
+        and result of one range, with samples 10 to 19 judged again here."""
+        config = CampaignConfig(3, 3, mode="sample", sample_count=20, seed=1)
+        report, result = _one_range_campaign(config)
+        parent = os.getpid()
+        judged = []
+        real = harness._sample_range
+
+        def recording(config, result, sink, out, start, stop):
+            if os.getpid() == parent:
+                judged.append((start, stop))
+            return real(config, result, sink, out, start, stop)
+
+        monkeypatch.setattr(harness, "_sample_range", recording)
+        forks = split(2)
+        buf = io.StringIO()
+        assert verify_theorem1(config, out=buf) == result
+        assert buf.getvalue() == report
+        assert len(forks) == 1
+        assert judged == [(0, 10), (10, 20)]
+
+    def test_failed_child_range_is_judged_again(self, split, monkeypatch,
+                                                capfd):
         parent = os.getpid()
         real = harness._emit
 
@@ -1228,24 +1252,50 @@ class TestSplitSamples:
             return real(*args)
 
         monkeypatch.setattr(harness, "_emit", broken)
-        # keep the child's traceback off stderr
-        monkeypatch.setattr(sys, "excepthook", lambda *exc_info: None)
-        split(2)
-        with pytest.raises(RuntimeError, match=r"samples 10 to 19 failed"
-                                               r" \(exit code 1\)"):
-            verify_theorem1(CampaignConfig(3, 3, mode="sample",
-                                           sample_count=20, seed=1))
+        self._second_range_judged_again(split, monkeypatch)
+        assert capfd.readouterr().err == ""  # the child prints nothing
+
+    def test_killed_child_range_is_judged_again(self, split, monkeypatch):
+        parent = os.getpid()
+        real = harness._emit
+
+        def killed(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+
+        monkeypatch.setattr(harness, "_emit", killed)
+        self._second_range_judged_again(split, monkeypatch)
 
     def test_short_header_write_fails_the_child(self, split, monkeypatch):
         # a child whose tallies do not all reach its spool exits 1
         pwrite = os.pwrite
         monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: pwrite(
             fd, data[:-1], offset))
-        split(2)
-        with pytest.raises(RuntimeError, match=r"samples 10 to 19 failed"
-                                               r" \(exit code 1\)"):
-            verify_theorem1(CampaignConfig(3, 3, mode="sample",
-                                           sample_count=20, seed=1))
+        self._second_range_judged_again(split, monkeypatch)
+
+    def test_child_exception_is_raised_here(self, split, monkeypatch):
+        config = CampaignConfig(5, 5, mode="sample", sample_count=100, seed=1)
+        records = []
+        verify_theorem1(config, sink=records.append)
+        # on two CPUs a child judges samples 50 to 99, and sample 60's left
+        # basis first appears there
+        left = records[60].b1
+        assert [i for i, r in enumerate(records) if r.b1 == left] == [60]
+        real = harness._PairContext
+
+        def context(b1, b2, start=0):
+            if str(b1) == left:
+                raise ValueError(f"no context for {left}")
+            return real(b1, b2, start)
+
+        monkeypatch.setattr(harness, "_PairContext", context)
+        for cpus in (1, 2):
+            forks = split(cpus)
+            with pytest.raises(ValueError) as info:
+                verify_theorem1(config)
+            assert str(info.value) == f"no context for {left}"
+            assert len(forks) == cpus - 1
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                         reason="needs /proc/self/fd")
@@ -1268,16 +1318,14 @@ class TestSplitSamples:
                 raise ValueError("broken in a child")
             return real(*args)
 
-        # keep the failing child's traceback off stderr
-        monkeypatch.setattr(sys, "excepthook", lambda *exc_info: None)
         before = open_descriptors()
         split(3)
         verify_theorem1(config, out=io.StringIO())
-        for emit, raised in ((interrupted, KeyboardInterrupt),
-                             (broken, RuntimeError)):
-            monkeypatch.setattr(harness, "_emit", emit)
-            with pytest.raises(raised):
-                verify_theorem1(config, out=io.StringIO())
+        monkeypatch.setattr(harness, "_emit", broken)
+        verify_theorem1(config, out=io.StringIO())
+        monkeypatch.setattr(harness, "_emit", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            verify_theorem1(config, out=io.StringIO())
         monkeypatch.setattr(harness, "_emit", real)
         _table_filling_off_by_one(monkeypatch)
         with pytest.raises(TwoPathDisagreement):
