@@ -13,15 +13,15 @@ choices of its rows, into an entry (_Judged) that holds the verdicts and
 their tally, then emits the entry (_emit): the one place that writes rows,
 builds VerificationRecords and raises TwoPathDisagreement, which ends the
 rows at the pair's first disagreement; CampaignResult._add adds the tally.
-Complementing the product's finals changes neither the Nerode partition
-nor which pair-graph components hold a distinguishing pair, so judging a
-pair judges each {mask, ~mask} once.
-
-Exhaustive campaigns judge each orbit of S_m x S_n relabelling both bases
-once per class of start states, at its representative pair; every pair of
-the orbit emits that entry through a pick that reorders its verdicts (see
-_sweep).  evaluate_instance judges a fresh context per instance and so is
-the unreduced reference.
+Complementing the product's finals, or moving them by an element of the
+group G that the letters generate on the product states, changes neither
+the Nerode partition nor which pair-graph components hold a distinguishing
+pair, so judging a pair judges each {mask, ~mask} once, and an exhaustive
+context each G-orbit of (F, F') once per operation.  Exhaustive campaigns
+judge one context per orbit of S_m x S_n relabelling both bases and class
+of start states; every pair of the orbit emits its entry as it is or
+through a pick that reorders its verdicts (see _sweep).  evaluate_instance
+judges a fresh context per instance and so is the unreduced reference.
 
 _emit builds a pair's rows as its prefix joined with row bodies (combo text
 and verdict text), from a cache that travels with the combos and is keyed
@@ -57,7 +57,7 @@ import struct
 import sys
 from collections import namedtuple
 from functools import lru_cache
-from itertools import islice
+from itertools import compress, islice
 from operator import add, itemgetter
 from typing import Callable, List, Optional, Sequence, TextIO, Tuple
 
@@ -77,6 +77,7 @@ from .perm import (
     Basis,
     Perm,
     _images_generate_symmetric,
+    _point_orbit,
     bases_conjugate,
     basis_orbits,
 )
@@ -380,8 +381,8 @@ def _emit(head, combos, entry: _Judged, pick: itemgetter,
           out: Optional[TextIO]) -> None:
     """Write a pair's rows, add its tally to result and give sink its records.
 
-    entry was judged for this pair (pick _ALL) or for its orbit's
-    representative, whose verdicts pick lists in this pair's combo order.
+    entry was judged for this pair or for its orbit's representative, whose
+    verdicts pick lists in this pair's combo order (_ALL: in the same one).
     The pair's first disagreement in that order ends its rows and its
     records and raises TwoPathDisagreement; result, which the campaign
     drops with the exception, takes the whole tally.  Records are built
@@ -499,18 +500,40 @@ def verify_theorem1(
     return result
 
 
+def _preimages(p: Sequence[int]) -> List[int]:
+    """p^-1 F = {q : p(q) in F} as a mask at index F, for each mask F."""
+    table = [0]
+    for x in range(len(p)):
+        bit = 1 << p.index(x)
+        table += [v | bit for v in table]
+    return table
+
+
 def _relabelled_offsets(degree: int, stride: int):
     """(basis, representative index, text, offsets, r^-1(0)) for each
     entry (basis, rep, r) of basis_orbits(degree), where offsets[F - 1] is
     stride * (r^-1 F - 1) for each proper finals mask F."""
-    table = []
-    for basis, rep, r in basis_orbits(degree):
-        img = r.image
-        table.append((basis, rep, str(basis), tuple(
-            stride * (sum(1 << q for q in range(degree) if mask >> img[q] & 1)
-                      - 1)
-            for mask in range(1, (1 << degree) - 1)), img.index(0)))
-    return table
+    return [(basis, rep, str(basis),
+             tuple(stride * (pre - 1) for pre in _preimages(r.image)[1:-1]),
+             r.image.index(0)) for basis, rep, r in basis_orbits(degree)]
+
+
+def _orbit_firsts(b1: Basis, b2: Basis) -> List[int]:
+    """The least index in the orbit of each pair (F, F') of proper finals
+    masks, at its index (F - 1) * (2^n - 2) + F' - 1, under the group that
+    the letters generate, found along the letters' preimages."""
+    acts = []
+    for x, y in ((b1.s, b2.s), (b1.t, b2.t)):
+        right = _preimages(y.image)[1:-1]
+        acts.append([(f - 1) * len(right) + g - 1
+                     for f in _preimages(x.image)[1:-1] for g in right])
+    first = [-1] * len(acts[0])
+    for p in range(len(first)):
+        if first[p] < 0:
+            for q in compress(range(len(first)),
+                              _point_orbit(acts, p, len(first))):
+                first[q] = p
+    return first
 
 
 def _sweep(config: CampaignConfig, result: CampaignResult,
@@ -519,21 +542,23 @@ def _sweep(config: CampaignConfig, result: CampaignResult,
     """Judge and emit every basis pair of an exhaustive campaign into
     result, sink and out, in lexicographic order, in this process.
 
-    The combos every pair shares, the relabelled offsets of both degrees,
-    and the entry of one context per relabelling orbit and start are built
-    first, so that no pair judges a context again.  Relabelling both bases
-    by (r, s) in S_m x S_n renames product state (i, j) as (r(i), s(j)),
-    start state included, so the pair (r*rep1*r^-1, s*rep2*s^-1) from
-    (0, 0) takes, for (F, F', op), the verdict of (rep1, rep2) from
-    (r^-1(0), s^-1(0)) on (r^-1 F, s^-1 F', op).  The letters permute the
-    product states, so an entry serves every start its context reaches: one
-    per connected orbit, two per conjugate one (the diagonal and the
-    off-diagonal; S_n is 2-transitive).  An entry holds a verdict for every
-    combo, so a pair that meets a disagreement ends at its own first, which
-    _emit finds through the pair's pick.
+    One context per relabelling orbit and start is judged first.
+    Relabelling both bases by (r, s) in S_m x S_n renames product state
+    (i, j) as (r(i), s(j)), start included, so the pair (r*rep1*r^-1,
+    s*rep2*s^-1) from (0, 0) takes, for (F, F', op), the verdict of
+    (rep1, rep2) from (r^-1(0), s^-1(0)) on (r^-1 F, s^-1 F', op).  The
+    letters permute the product states, so an entry serves every start its
+    context reaches: one per connected orbit, two per conjugate one (the
+    diagonal and the off-diagonal; S_n is 2-transitive).
 
-    _emit writes into a batch that out takes at each _BATCH characters and
-    at the end, so a TwoPathDisagreement still ends the report at its row.
+    An element (g1, g2) of the group G that the letters generate maps the
+    flat finals of (F, F', op) to those of (g1 F, g2 F', op) and keeps the
+    verdict, so a context judges each combo on the first (F, F') of its
+    G-orbit.  With (m-1)(n-1) orbits, each is a whole (|F|, |F'|) class,
+    which relabelling keeps, so every pair emits the entry as it is (_ALL);
+    other pairs go through a pick, in which _emit finds a pair's own first
+    disagreement.  _emit writes into a batch that out takes at each _BATCH
+    characters and at the end, so a disagreement ends the report at its row.
     """
     m, n = config.m, config.n
     ops = config.resolved_ops()
@@ -549,14 +574,19 @@ def _sweep(config: CampaignConfig, result: CampaignResult,
     positions = list(range(len(combos[0])))
     left = _relabelled_offsets(m, ((1 << n) - 2) * k)
     right = _relabelled_offsets(n, k)
-    judged = {}  # (rep1, rep2, product state) -> (conjugate, connected), entry
+    judged = {}  # (rep1, rep2, state) -> (conjugate, connected), entry, pick
     starts = [sorted({(rep, start) for _, rep, _, _, start in side})
               for side in (left, right)]
     for rep1, i0 in starts[0]:
         for rep2, j0 in starts[1]:
             if (rep1, rep2, i0 * n + j0) not in judged:
-                ctx = _PairContext(left[rep1][0], right[rep2][0], i0 * n + j0)
-                cached = ctx.head[4:], _Judged(ctx, combos[1])
+                b1, b2 = left[rep1][0], right[rep2][0]
+                ctx = _PairContext(b1, b2, i0 * n + j0)
+                first = _orbit_firsts(b1, b2)
+                entry = _Judged(ctx, [combos[1][f * k + x]
+                                      for f in first for x in range(k)])
+                sized = len(set(first)) == (m - 1) * (n - 1)
+                cached = ctx.head[4:], entry, _ALL if sized else None
                 for state in ctx.reachable:
                     judged[rep1, rep2, state] = cached
     picks = {}
@@ -564,11 +594,11 @@ def _sweep(config: CampaignConfig, result: CampaignResult,
     try:
         for _, rep1, b1_text, f_offsets, i0 in left:
             for _, rep2, b2_text, g_offsets, j0 in right:
-                flags, entry = judged[rep1, rep2, i0 * n + j0]
+                flags, entry, pick = judged[rep1, rep2, i0 * n + j0]
                 # pick(xs) lists xs at the representative's index of each
                 # combo; pairs with the same relabellings share it, and its
                 # indices come from positions, so cached getters add no ints.
-                pick = picks.get((f_offsets, g_offsets))
+                pick = pick or picks.get((f_offsets, g_offsets))
                 if pick is None:
                     pick = picks[f_offsets, g_offsets] = itemgetter(*[
                         positions[f + g + x]

@@ -4,6 +4,7 @@ import bisect
 import collections
 import hashlib
 import io
+import operator
 import os
 import random
 import signal
@@ -17,7 +18,7 @@ from permdfa import Basis, BoolFn, CapExceededError, TwoPathDisagreement
 from permdfa import Perm, automaton, bases_conjugate, conjugate, harness
 from permdfa import direct_product, from_basis, product
 from permdfa.perm import basis_orbits
-from permdfa.automaton import finals_to_mask
+from permdfa.automaton import finals_to_mask, mask_states
 from permdfa.harness import (
     CampaignConfig,
     REPORT_HEADER,
@@ -449,6 +450,25 @@ def _evaluate_row(row):
         BoolFn.parse(f[8])).tsv_row()
 
 
+def _finals_orbit_first(b1, b2, fmask, gmask):
+    """The least (F, F') in the orbit of (fmask, gmask) under the group that
+    the letters (s1, s2) and (t1, t2) generate, by a closure over images."""
+    def image(p, mask):
+        return sum(1 << p.image[q] for q in range(len(p.image))
+                   if mask >> q & 1)
+
+    seen = {(fmask, gmask)}
+    stack = [(fmask, gmask)]
+    while stack:
+        f, g = stack.pop()
+        for x, y in ((b1.s, b2.s), (b1.t, b2.t)):
+            pair = image(x, f), image(y, g)
+            if pair not in seen:
+                seen.add(pair)
+                stack.append(pair)
+    return min(seen)
+
+
 # Exhaustive 2x3 with all ten operations, 3x3 with and and xor, which
 # covers the conjugate (disconnected) branch, and 2x2 with all ten, where
 # every relabelling is trivial.
@@ -517,6 +537,9 @@ class TestComplementMemo:
 
     def test_table_filling_runs_once_per_shortfall_mask(
             self, one_pair, monkeypatch):
+        # A shortfall row's class is the flat mask of the first (F, F') in
+        # its finals orbit, with its op, up to complement: 9 shortfall masks
+        # up to complement fall into 6 classes.
         counts = []
         real = harness.distinguishability_complexity
 
@@ -531,13 +554,20 @@ class TestComplementMemo:
         assert res.ok and res.total == 840
         assert counts and all(c < 12 for c in counts)
         full = (1 << 12) - 1
-        shortfall_masks = set()
+        shortfall_masks, shortfall_classes = set(), set()
         for r in rows:
             if r.oracle < 12:
-                flat = flat_final_mask(r.op, finals_to_mask(r.finals_left),
-                                       3, finals_to_mask(r.finals_right), 4)
+                fmask = finals_to_mask(r.finals_left)
+                gmask = finals_to_mask(r.finals_right)
+                flat = flat_final_mask(r.op, fmask, 3, gmask, 4)
                 shortfall_masks.add(min(flat, flat ^ full))
-        assert len(counts) == len(shortfall_masks)
+                first = _finals_orbit_first(TestPinnedInstances.B34_LEFT,
+                                            TestPinnedInstances.B34_RIGHT,
+                                            fmask, gmask)
+                flat = flat_final_mask(r.op, first[0], 3, first[1], 4)
+                shortfall_classes.add(min(flat, flat ^ full))
+        assert len(shortfall_masks) == 9
+        assert len(counts) == len(shortfall_classes) == 6
 
     def test_full_complexity_skips_table_filling(self, monkeypatch):
         def forbidden(d):
@@ -710,15 +740,19 @@ class TestOrbitReduction:
         # Campaigns never build the pair graph: harness does not import
         # pair_graph, and the counts below hold no pair_graph calls.
         assert not hasattr(harness, "pair_graph")
+        # A context judges one mask per finals orbit and operation, up to
+        # complement, where it judged one per mask: 567 and 567 at 3x4, 540
+        # and 270 at 3x3, and 17,640 and 14,112 at 4x4.
         for m, n, ops, total, contexts, moore, searches in [
-            # 27 representative pairs, 21 masks up to complement each
-            (3, 4, ("xor", "xnor"), 653184, 27, 567, 567),
-            # 6 connected pair orbits, and 3 conjugate ones with two start
-            # classes each; 45 masks up to complement per context, searched
-            # in the connected ones
-            (3, 3, (), 116640, 12, 540, 270),
-            # 72 connected pair orbits and 9 conjugate ones; 196 masks each
-            (4, 4, ("and",), 9144576, 90, 17640, 14112),
+            # 27 representative pairs: 18 with one orbit per (|F|, |F'|),
+            # 6 classes up to complement each, and 9 with 8
+            (3, 4, ("xor", "xnor"), 653184, 27, 180, 180),
+            # 6 connected pair orbits with 20 classes each, searched, and 3
+            # conjugate ones with two start classes of 30 classes each
+            (3, 3, (), 116640, 12, 300, 120),
+            # 72 connected pair orbits, 54 with 9 classes and 18 with 10,
+            # and 9 conjugate ones, 18 contexts of 19 classes
+            (4, 4, ("and",), 9144576, 90, 1008, 666),
         ]:
             calls.clear()
             res = verify_theorem1(CampaignConfig(
@@ -886,6 +920,129 @@ class TestOrbitReduction:
         assert all(len(bodies) == 168 for bodies in caches[0].values())
         assert hashlib.sha256(buf.getvalue().encode("ascii")).hexdigest() == (
             "e2c154aea89bacf7170d0c2ea3d088e2faf384c32501ddf859b0238be3837d67")
+
+
+def _keep_sweep(monkeypatch):
+    """Record the sweep's combo masks and each (context, entry) it judges:
+    returns (masks holder, list of (ctx, entry))."""
+    masks, judged = [], []
+    combos, judge = harness._combos, harness._Judged
+
+    def keeping_combos(*args):
+        made = combos(*args)
+        masks.append(made[1])
+        return made
+
+    def keeping_judged(ctx, entry_masks):
+        entry = judge(ctx, entry_masks)
+        judged.append((ctx, entry))
+        return entry
+
+    monkeypatch.setattr(harness, "_combos", keeping_combos)
+    monkeypatch.setattr(harness, "_Judged", keeping_judged)
+    return masks, judged
+
+
+class TestFinalsOrbits:
+    """A sweep judges each combo of a context on the first (F, F') of its
+    orbit under the group G that the letters generate, and a context with
+    one such orbit per (|F|, |F'|) emits its entry with _ALL."""
+
+    @pytest.mark.parametrize("m,n,ops,contexts", [
+        (3, 4, (), 27), (4, 4, ("and", "xor"), 90)])
+    def test_entries_equal_unmemoized_verdicts(self, monkeypatch, m, n, ops,
+                                               contexts):
+        masks, judged = _keep_sweep(monkeypatch)
+        verify_theorem1(CampaignConfig(m, n, ops=_ops(*ops)))
+        assert len(masks) == 1 and len(judged) == contexts
+        # every representative context and start class, every combo
+        for ctx, entry in judged:
+            assert entry.verdicts == [harness._judge_mask(ctx, mask)
+                                      for mask in masks[0]]
+
+    @pytest.mark.parametrize("m,n,ops,emitted,pairs", [
+        (3, 4, ("xor", "xnor"), 2592, 3888), (4, 4, ("and",), 31104, 46656)])
+    def test_size_invariant_entries_emit_as_judged(self, monkeypatch, m, n,
+                                                   ops, emitted, pairs):
+        relabellings = {k: {str(b): r.image for b, _, r in basis_orbits(k)}
+                        for k in (m, n)}
+        width, k = (1 << n) - 2, len(ops)
+        getters = {}
+
+        def pre(p, mask):
+            return sum(1 << q for q in range(len(p)) if mask >> p[q] & 1)
+
+        def relabelling_pick(r, s):
+            # the pick that lists a representative's verdicts in the order
+            # of the pair relabelled by (r, s): (F, F', op) reads the
+            # representative's (r^-1 F, s^-1 F', op)
+            if (r, s) not in getters:
+                getters[r, s] = operator.itemgetter(*[
+                    ((pre(r, f) - 1) * width + pre(s, g) - 1) * k + x
+                    for f in range(1, (1 << m) - 1)
+                    for g in range(1, width + 1) for x in range(k)])
+            return getters[r, s]
+
+        counts = collections.Counter()
+        emit = harness._emit
+
+        def checking(head, combos, entry, pick, *rest):
+            counts[pick is harness._ALL] += 1
+            if pick is harness._ALL:
+                r = relabellings[m][head[2]]
+                s = relabellings[n][head[3]]
+                assert relabelling_pick(r, s)(entry.texts) == entry.texts
+            emit(head, combos, entry, pick, *rest)
+
+        monkeypatch.setattr(harness, "_emit", checking)
+        verify_theorem1(CampaignConfig(m, n, ops=_ops(*ops)))
+        assert counts == {True: emitted, False: pairs - emitted}
+        # some of them are relabelled
+        assert len(getters) > 1
+
+    def test_disagreement_in_a_relabelled_s3_pair(self, monkeypatch):
+        # A sweep of the first 3-basis L against the 4-basis b, listed
+        # before its orbit's representative c, so that (L, b) is emitted
+        # first.  (L, c) generates the S_3 fibre product, which has more
+        # finals orbits than size classes, so (L, b) goes through a pick.
+        # Table filling counts one state short where Moore counts 6: the
+        # report ends at (L, b)'s own first such row, its 11th, not at the
+        # entry's 5th.
+        left = basis_orbits(3)[0]
+        table = basis_orbits(4)
+        b = Basis.parse("(1,2);(0,1,2,3)", 4)
+        rep, s = next(entry[1:] for entry in table if entry[0] == b)
+        assert table[rep][0] != b
+        assert len(set(harness._orbit_firsts(left[0], table[rep][0]))) > 6
+        orbits = {3: (left,), 4: ((b, 1, s), (table[rep][0], 1,
+                                               Perm.identity(4)))}
+        monkeypatch.setattr(harness, "basis_orbits", orbits.__getitem__)
+        real = harness.distinguishability_complexity
+        monkeypatch.setattr(harness, "distinguishability_complexity",
+                            lambda d: real(d) - (real(d) == 6))
+        _, judged = _keep_sweep(monkeypatch)
+        ops = _ops("and", "xor")
+        buf = io.StringIO()
+        with pytest.raises(TwoPathDisagreement) as info:
+            verify_theorem1(CampaignConfig(3, 4, ops=ops), out=buf)
+        rows = buf.getvalue().splitlines()[1:]
+        # evaluate_instance on (L, b)'s instances in row order
+        for index, (fmask, gmask, op) in enumerate(
+                (f, g, op) for f in range(1, 7) for g in range(1, 15)
+                for op in ops):
+            try:
+                evaluate_instance(left[0], b, mask_states(fmask, 3),
+                                  mask_states(gmask, 4), op)
+            except TwoPathDisagreement as exc:
+                flagged = exc.row
+                break
+        assert len(rows) == index + 1 == 11
+        assert rows[-1] == info.value.row == flagged
+        assert info.value.row.split("\t")[2:4] == [str(left[0]), str(b)]
+        assert (info.value.moore, info.value.table_filling) == (6, 5)
+        entry = [e for ctx, e in judged if ctx.head[3] == str(table[rep][0])
+                 and ctx.product.initial == 0][0]
+        assert [i for i, v in enumerate(entry.verdicts) if v[3]][0] == 4
 
 
 class TestSampling:
