@@ -28,20 +28,13 @@ class CapExceededError(RuntimeError):
 
 
 class TwoPathDisagreement(RuntimeError):
-    """Two routes that judge an instance disagreed.
+    """The Moore oracle and the pair route (product.pair_count), which count
+    the exact states of every campaign row, gave moore and pair_route on the
+    instance of the TSV row kept for replay: a bug in one of the routes."""
 
-    Either the structural prediction disagreed with the Moore oracle, or the
-    Moore and table-filling minimizers counted different state numbers; then
-    table_filling holds the second count, else it is None. This should be
-    impossible; it means a bug in one of the routes. The offending instance
-    is kept in serialized form for replay.
-    """
-
-    def __init__(self, row: str, moore: int | None = None,
-                 table_filling: int | None = None):
+    def __init__(self, row: str, moore: int, pair_route: int):
         self.row = row
         self.moore = moore
-        self.table_filling = table_filling
-        routes = ("prediction and oracle disagree" if table_filling is None
-                  else f"Moore {moore} vs table-filling {table_filling}")
-        super().__init__(f"{routes} on instance: {row}")
+        self.pair_route = pair_route
+        super().__init__(f"Moore {moore} vs pair route {pair_route}"
+                         f" on instance: {row}")

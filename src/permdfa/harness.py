@@ -1,12 +1,12 @@
 """Verification campaigns over products of basis automata.
 
-Every instance is judged by two independent routes: the structural
-prediction (connectivity of the product, then product.all_distinguished's
-search for a distinguishing pair in every pair-graph component) and the
-Moore minimization oracle.  The two must agree that an instance is minimal
-exactly when the oracle count equals m*n, and every count below m*n is
-recomputed by the table-filling oracle; a disagreement aborts the whole
-campaign, because it would mean one of the routes is wrong.
+Every instance's exact state count is found by two independent routes:
+the pair route (product.pair_count, which searches the pair-graph
+components of the start's pairs for a distinguishing pair) and the Moore
+minimization oracle.  The row predicts the instance minimal when the pair
+route counts m*n; a count that differs from Moore's aborts the whole
+campaign, because it would mean one of the routes is wrong.  A pair
+context reads the bases' image tuples and builds no automaton object.
 
 A campaign judges a basis pair on all of its combos, the (F, F', op)
 choices of its rows, into an entry (_Judged) that holds the verdicts and
@@ -61,16 +61,7 @@ from itertools import compress, islice
 from operator import add, itemgetter
 from typing import Callable, List, Optional, Sequence, TextIO, Tuple
 
-from .automaton import (
-    DFA,
-    distinguishability_complexity,
-    finals_to_mask,
-    from_basis,
-    is_connected,
-    mask_states,
-    moore_complexity,
-    reachable_states,
-)
+from .automaton import finals_to_mask, mask_states, moore_complexity
 from .boolops import BoolFn, is_proper, proper_functions
 from .errors import CapExceededError, TwoPathDisagreement
 from .perm import (
@@ -84,10 +75,10 @@ from .perm import (
 from .product import (
     _bool_text,
     _states_text,
-    all_distinguished,
-    direct_product,
     flat_final_mask,
+    pair_count,
     predict_connected,
+    product_action,
 )
 from .reproductions import REPRODUCE_IDS, reproduce
 
@@ -262,33 +253,34 @@ class _PairContext:
     """Everything about one ordered basis pair that final sets don't change.
 
     head is (m, n, b1 text, b2 text, conjugate, connected), the first six
-    fields of each of the pair's VerificationRecords.
+    fields of each of the pair's VerificationRecords; reachable lists the
+    product states that start reaches along actions, ascending.
     """
 
-    __slots__ = ("head", "m", "n", "mn", "conjugate", "connected", "product",
+    __slots__ = ("head", "m", "n", "mn", "conjugate", "connected", "start",
                  "actions", "reachable", "conjugate_bound")
 
     def __init__(self, b1: Basis, b2: Basis, start: int = 0):
         self.m = b1.degree
         n = self.n = b2.degree
-        self.mn = self.m * n
+        mn = self.mn = self.m * n
         conjugator = bases_conjugate(b1, b2) if self.m == n else None
         self.conjugate = conjugator is not None
-        i0, j0 = divmod(start, n)
-        prod = self.product = direct_product(from_basis(b1, initial=i0),
-                                             from_basis(b2, initial=j0))
-        self.actions = [prod.actions[letter] for letter in prod.alphabet]
-        self.reachable = reachable_states(prod)
-        self.connected = len(self.reachable) == self.mn
+        self.start = start
+        acts = self.actions = [product_action(b1.s.image, b2.s.image),
+                               product_action(b1.t.image, b2.t.image)]
+        self.reachable = tuple(compress(range(mn),
+                                        _point_orbit(acts, start, mn)))
+        self.connected = len(self.reachable) == mn
         # For conjugate bases the reachable part is forced: with conjugator
-        # r it is the graph of r (n states) when r carries i0 to j0, and
-        # every off-diagonal pair (x, r(y)), x != y (n(n-1) states), when
-        # it does not.  The complexity is bounded by that count; the bound
+        # r and start (i0, j0) it is the graph of r (n states) when r(i0) =
+        # j0, and every off-diagonal pair (x, r(y)), x != y (n(n-1) states),
+        # when not.  The complexity is bounded by that count; the bound
         # is -1 when the reachable part has another shape.
         self.conjugate_bound = -1
         if self.conjugate:
             r = conjugator.image
-            diagonal = r[i0] == j0
+            diagonal = r[start // n] == start % n
             expected = {x * n + r[y] for x in range(n) for y in range(n)
                         if (x == y) == diagonal}
             if set(self.reachable) == expected:
@@ -314,22 +306,15 @@ def _judge_mask(ctx: _PairContext, flat: int):
     """Both routes on one finals mask: (predicted, oracle, status, disagree,
     the row's verdict text with its newline).
 
-    disagree is None when the routes agree, else the counts a
-    TwoPathDisagreement carries: (Moore, None) when the prediction disagrees
-    with Moore, (Moore, table-filling) when the two minimizers do.
+    predicted is whether the pair route counts m*n states; disagree is None
+    when its count equals Moore's, else the counts a TwoPathDisagreement
+    carries, (Moore, pair route).
     """
     mn = ctx.mn
-    predicted = ctx.connected and all_distinguished(ctx.actions, flat, mn)
+    count = pair_count(ctx.actions, ctx.reachable, ctx.start, flat, mn)
     oracle = moore_complexity(ctx.actions, ctx.reachable, flat, mn)
-    disagree = None
-    if predicted != (oracle == mn):
-        disagree = (oracle, None)
-    elif oracle < mn:
-        p = ctx.product
-        dfa = DFA(mn, p.alphabet, p.actions, p.initial, mask_states(flat, mn))
-        table_filling = distinguishability_complexity(dfa)
-        if table_filling != oracle:
-            disagree = (oracle, table_filling)
+    predicted = count == mn
+    disagree = None if count == oracle else (oracle, count)
     if disagree:
         status = STATUS_FAIL
     elif ctx.conjugate:
@@ -626,8 +611,15 @@ _SAMPLE_TRY_CAP = 10_000
 
 
 def _random_perm(rng: random.Random, degree: int) -> Perm:
+    """rng.shuffle of the identity, from the same bits in fewer calls."""
     images = list(range(degree))
-    rng.shuffle(images)
+    getrandbits = rng.getrandbits
+    for i in range(degree - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        images[i], images[j] = images[j], images[i]
     return Perm._trusted(tuple(images))
 
 
@@ -795,15 +787,15 @@ class ConnectivityCheck(namedtuple("ConnectivityCheck",
 
 
 def verify_theorem2(m: int, n: int) -> ConnectivityCheck:
-    """Compare predicted and actual connectivity over all basis pairs."""
+    """Compare predicted connectivity with the reachable states of a pair
+    context over all basis pairs."""
     total = 0
     mismatches = []
     for b1 in enumerate_bases(m):
-        left = from_basis(b1)
         for b2 in enumerate_bases(n):
             total += 1
             predicted = predict_connected(b1, b2)
-            actual = is_connected(direct_product(left, from_basis(b2)))
+            actual = _PairContext(b1, b2).connected
             if predicted != actual:
                 mismatches.append((str(b1), str(b2), predicted, actual))
     return ConnectivityCheck(total, mismatches)

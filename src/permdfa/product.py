@@ -1,21 +1,22 @@
 """Direct products of automata, their pair graphs, and structural predictions.
 
 Product state (i, j) sits at flat index i * n + j where n is the right state
-count; flat_final_mask is the one builder of product final sets, and
-all_distinguished the one pair-graph prediction, shared by predict_minimal,
-format_pair_graph and the campaigns. It searches each {0, y}'s component
-lazily; pair_graph builds every component, for listings only. Both key
-the pair {u, v}, u < v, of N product states as u * N + v and decode a key
-by divmod, so nothing is cached per product size. pair_graph and
-predict_minimal reject letters that do not act bijectively. _bool_text,
-_states_text and _pair_text are the one text form of a boolean, a state set
-and a product-state pair in every report.
+count; flat_final_mask is the one builder of product final sets,
+product_action of product letter actions, and pair_count the one pair-graph
+count, shared by predict_minimal, format_pair_graph and the campaigns. It
+searches each {start, y}'s component lazily; pair_graph builds every
+component, for listings only. Both key the pair {u, v}, u < v, of N product
+states as u * N + v and decode a key by divmod, so nothing is cached per
+product size. pair_graph and predict_minimal reject letters that do not act
+bijectively. _bool_text, _states_text and _pair_text are the one text form
+of a boolean, a state set and a product-state pair in every report.
 """
 
 from collections import namedtuple
 from typing import Iterable, Optional, Sequence
 
-from .automaton import DFA, Semiautomaton, finals_to_mask, is_connected, mask_states
+from .automaton import (DFA, Semiautomaton, finals_to_mask, is_connected,
+                        mask_states, reachable_states)
 from .boolops import BoolFn
 from .perm import Basis, bases_conjugate
 
@@ -54,8 +55,7 @@ class ProductAutomaton(Semiautomaton):
         self.state_count = m * n
         self.alphabet = left.alphabet
         self.actions = {
-            letter: tuple([x * n + y for x in left.actions[letter]
-                           for y in right.actions[letter]])
+            letter: product_action(left.actions[letter], right.actions[letter])
             for letter in left.alphabet}
         self.initial = left.initial * n + right.initial
         self.left_count = m
@@ -63,6 +63,12 @@ class ProductAutomaton(Semiautomaton):
 
     def flat(self, i: int, j: int) -> int:
         return i * self.right_count + j
+
+
+def product_action(left: Sequence[int], right: Sequence[int]) -> tuple[int, ...]:
+    """The action (i, j) -> (left(i), right(j)) on flat states i * n + j."""
+    n = len(right)
+    return tuple([x * n + y for x in left for y in right])
 
 
 def direct_product(left: Semiautomaton, right: Semiautomaton) -> ProductAutomaton:
@@ -202,23 +208,29 @@ def has_distinguishing_pair(component: Sequence[tuple[int, int]], finals: Iterab
     return False
 
 
-def all_distinguished(actions: Sequence[Sequence[int]], mask: int, state_count: int) -> bool:
-    """Whether every pair-graph component of a connected product of
-    permutation automata holds a distinguishing pair under the finals mask.
+def pair_count(actions: Sequence[Sequence[int]], reachable: Sequence[int],
+               start: int, mask: int, state_count: int) -> int:
+    """The minimal state count of a product of permutation automata from
+    start, whose reachable states are R, under the finals mask.
 
-    The letters generate a transitive group, so every component holds a
-    pair {0, y}.  From each {0, y} neither distinguishing nor proved, a
-    breadth-first search along the letters stops at the first pair that is,
-    proving all it visited; one that runs out finds an undistinguished
-    component.  mark[u*N+v]: 0 unseen, 1 in this search, 2 proved."""
+    The letters permute R transitively, so its Nerode classes are blocks of
+    equal size: the count is |R| / (1 + the y in R equivalent to start), the
+    y whose pair {start, y} has no distinguishing pair in its component.  A
+    breadth-first search from each undecided {start, y} stops at the first
+    distinguishing or proved pair, proving all it visited; one that runs out
+    marks its component equivalent.  mark[u*N+v]: 0 unseen, 1 in this
+    search, 2 proved, 3 equivalent."""
     total = state_count
     final = [mask >> q & 1 for q in range(total)]
     mark = bytearray(total * total)
-    for y in range(1, total):
-        if final[y] != final[0] or mark[y]:
+    same = 0
+    for y in reachable:
+        key = start * total + y if start < y else y * total + start
+        if final[y] != final[start] or y == start or mark[key]:
+            same += mark[key] == 3
             continue
-        mark[y] = 1
-        queue = [y]
+        mark[key] = 1
+        queue = [key]
         for key in queue:
             u, v = divmod(key, total)
             for act in actions:
@@ -231,21 +243,24 @@ def all_distinguished(actions: Sequence[Sequence[int]], mask: int, state_count: 
                     queue.append(img)
             else:
                 continue
-            break  # reached a distinguishing or proved pair
+            proof = 2  # reached a distinguishing or proved pair
+            break
         else:
-            return False
+            proof = 3
+            same += 1
         for key in queue:
-            mark[key] = 2
-    return True
+            mark[key] = proof
+    return len(reachable) // (1 + same)
 
 
 def predict_minimal(p: ProductAutomaton, finals: Iterable[int] | int) -> bool:
-    """Structural prediction: letters act bijectively (else it raises), the
-    product is connected, and every pair-graph component has a
-    distinguishing pair.  It never runs a minimizer."""
+    """Structural prediction: letters act bijectively (else it raises), and
+    pair_count needs every state, so the product is connected and every
+    pair-graph component has a distinguishing pair; no minimizer runs."""
     p.require_permutations()
-    return is_connected(p) and all_distinguished(
-        list(p.actions.values()), finals_to_mask(finals), p.state_count)
+    return pair_count([p.actions[letter] for letter in p.alphabet],
+                      reachable_states(p), p.initial, finals_to_mask(finals),
+                      p.state_count) == p.state_count
 
 
 def predict_connected(left_basis: Basis, right_basis: Basis) -> bool:

@@ -271,11 +271,11 @@ class TestVerify:
 
     def test_out_of_memory_exits_two(self, monkeypatch, capsys, tmp_path):
         # a campaign too large for memory, such as --m 1000 --n 1000, fails
-        # in product.all_distinguished, in this process on any number of CPUs
-        def exhausted(actions, flat, state_count):
+        # in product.pair_count, in this process on any number of CPUs
+        def exhausted(actions, reachable, start, flat, state_count):
             raise MemoryError
 
-        monkeypatch.setattr(harness, "all_distinguished", exhausted)
+        monkeypatch.setattr(harness, "pair_count", exhausted)
         for cpus in ({0}, {0, 1}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
             assert cli.main(["verify", "--m", "2", "--n", "3", "--exhaustive",

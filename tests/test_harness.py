@@ -8,6 +8,7 @@ import operator
 import os
 import random
 import signal
+import sys
 import threading
 from functools import lru_cache
 from pathlib import Path
@@ -16,7 +17,7 @@ import pytest
 
 from permdfa import Basis, BoolFn, CapExceededError, TwoPathDisagreement
 from permdfa import Perm, automaton, bases_conjugate, conjugate, harness
-from permdfa import direct_product, from_basis, product
+from permdfa import direct_product, from_basis, perm, product
 from permdfa.perm import basis_orbits
 from permdfa.automaton import finals_to_mask, mask_states
 from permdfa.harness import (
@@ -82,29 +83,30 @@ def split(monkeypatch):
 
 
 def _force_counts(monkeypatch, b1, b2, oracle, reachable=None):
-    """Make both minimizers count oracle states, and reachable_states return
-    reachable(its true result) when reachable is given, on the product of
-    b1 and b2 alone."""
+    """Make both routes count oracle states, and a pair context's reachable
+    states be reachable(its true states) when reachable is given, on the
+    product of b1 and b2 alone."""
     target = list(direct_product(from_basis(b1), from_basis(b2))
                   .actions.values())
-
-    def hit(a):
-        return [a.actions[letter] for letter in a.alphabet] == target
-
     monkeypatch.setattr(
         harness, "moore_complexity",
         lambda actions, *rest: oracle if list(actions) == target
         else automaton.moore_complexity(actions, *rest))
     monkeypatch.setattr(
-        harness, "distinguishability_complexity",
-        lambda d: oracle if hit(d)
-        else automaton.distinguishability_complexity(d))
+        harness, "pair_count",
+        lambda actions, *rest: oracle if list(actions) == target
+        else product.pair_count(actions, *rest))
     if reachable is not None:
-        def reachable_states(a):
-            states = automaton.reachable_states(a)
-            return reachable(states) if hit(a) else states
+        def point_orbit(actions, start, size):
+            seen = perm._point_orbit(actions, start, size)
+            if list(actions) != target:
+                return seen
+            kept = bytearray(size)
+            for q in reachable(tuple(q for q in range(size) if seen[q])):
+                kept[q] = 1
+            return kept
 
-        monkeypatch.setattr(harness, "reachable_states", reachable_states)
+        monkeypatch.setattr(harness, "_point_orbit", point_orbit)
 
 
 class TestEnumerateBases:
@@ -503,12 +505,9 @@ class TestComplementMemo:
         return CampaignConfig(3, 4, mode="sample", sample_count=100, seed=2)
 
     @pytest.mark.parametrize("campaign", ["one_pair", "sampled"])
-    def test_table_filling_disagreement_aborts(self, campaign, request,
-                                               monkeypatch):
+    def test_count_disagreement_aborts(self, campaign, request, monkeypatch):
         config = request.getfixturevalue(campaign)
-        real = harness.distinguishability_complexity
-        monkeypatch.setattr(harness, "distinguishability_complexity",
-                            lambda d: real(d) - 1)
+        _pair_count_off_by_one(monkeypatch)
         buf = io.StringIO()
         with pytest.raises(TwoPathDisagreement) as info:
             verify_theorem1(config, out=buf)
@@ -517,42 +516,44 @@ class TestComplementMemo:
         assert buf.getvalue().splitlines()[-1] == info.value.row
         moore = info.value.moore
         assert moore == int(row[10])
-        assert info.value.table_filling == moore - 1
+        assert info.value.pair_route == moore - 1
         assert str(info.value).startswith(
-            f"Moore {moore} vs table-filling {moore - 1} on instance: ")
+            f"Moore {moore} vs pair route {moore - 1} on instance: ")
 
     @pytest.mark.parametrize("campaign", ["one_pair", "sampled"])
     def test_prediction_disagreement_names_routes(self, campaign, request,
                                                   monkeypatch):
+        # the pair route never counts m*n, so it predicts no row minimal
         config = request.getfixturevalue(campaign)
-        monkeypatch.setattr(harness, "all_distinguished",
-                            lambda actions, flat, state_count: False)
+        real = harness.pair_count
+        monkeypatch.setattr(harness, "pair_count",
+                            lambda *args: min(real(*args), 11))
         with pytest.raises(TwoPathDisagreement) as info:
             verify_theorem1(config)
         row = info.value.row.split("\t")
         assert row[9:] == ["false", "12", "FAIL"]
-        assert (info.value.moore, info.value.table_filling) == (12, None)
+        assert (info.value.moore, info.value.pair_route) == (12, 11)
         assert str(info.value).startswith(
-            "prediction and oracle disagree on instance: ")
+            "Moore 12 vs pair route 11 on instance: ")
 
-    def test_table_filling_runs_once_per_shortfall_mask(
+    def test_pair_count_runs_once_per_shortfall_class(
             self, one_pair, monkeypatch):
         # A shortfall row's class is the flat mask of the first (F, F') in
         # its finals orbit, with its op, up to complement: 9 shortfall masks
         # up to complement fall into 6 classes.
         counts = []
-        real = harness.distinguishability_complexity
+        real = harness.pair_count
 
-        def recording(d):
-            counts.append(real(d))
+        def recording(*args):
+            counts.append(real(*args))
             return counts[-1]
 
-        monkeypatch.setattr(harness, "distinguishability_complexity",
-                            recording)
+        monkeypatch.setattr(harness, "pair_count", recording)
         rows = []
         res = verify_theorem1(one_pair, sink=rows.append)
         assert res.ok and res.total == 840
-        assert counts and all(c < 12 for c in counts)
+        counts = [c for c in counts if c < 12]
+        assert counts
         full = (1 << 12) - 1
         shortfall_masks, shortfall_classes = set(), set()
         for r in rows:
@@ -573,8 +574,9 @@ class TestComplementMemo:
         def forbidden(d):
             raise AssertionError("table filling ran on an m*n row")
 
-        monkeypatch.setattr(harness, "distinguishability_complexity",
+        monkeypatch.setattr(automaton, "distinguishability_complexity",
                             forbidden)
+        assert not hasattr(harness, "distinguishability_complexity")
         res = verify_theorem1(CampaignConfig(2, 3))
         assert res.n_pass == res.total == 6480
 
@@ -731,7 +733,7 @@ class TestOrbitReduction:
         calls = collections.Counter()
         for module, name in ((harness, "_PairContext"),
                              (harness, "moore_complexity"),
-                             (harness, "all_distinguished"),
+                             (harness, "pair_count"),
                              (product, "pair_graph")):
             def counting(*args, _real=getattr(module, name), _name=name):
                 calls[_name] += 1
@@ -741,18 +743,19 @@ class TestOrbitReduction:
         # pair_graph, and the counts below hold no pair_graph calls.
         assert not hasattr(harness, "pair_graph")
         # A context judges one mask per finals orbit and operation, up to
-        # complement, where it judged one per mask: 567 and 567 at 3x4, 540
-        # and 270 at 3x3, and 17,640 and 14,112 at 4x4.
+        # complement, where it judged one per mask: 567 Moore calls at 3x4,
+        # 540 at 3x3 and 17,640 at 4x4.  Both routes count every judged
+        # mask, conjugate contexts included.
         for m, n, ops, total, contexts, moore, searches in [
             # 27 representative pairs: 18 with one orbit per (|F|, |F'|),
             # 6 classes up to complement each, and 9 with 8
             (3, 4, ("xor", "xnor"), 653184, 27, 180, 180),
-            # 6 connected pair orbits with 20 classes each, searched, and 3
-            # conjugate ones with two start classes of 30 classes each
-            (3, 3, (), 116640, 12, 300, 120),
+            # 6 connected pair orbits with 20 classes each, and 3 conjugate
+            # ones with two start classes of 30 classes each
+            (3, 3, (), 116640, 12, 300, 300),
             # 72 connected pair orbits, 54 with 9 classes and 18 with 10,
             # and 9 conjugate ones, 18 contexts of 19 classes
-            (4, 4, ("and",), 9144576, 90, 1008, 666),
+            (4, 4, ("and",), 9144576, 90, 1008, 1008),
         ]:
             calls.clear()
             res = verify_theorem1(CampaignConfig(
@@ -760,13 +763,13 @@ class TestOrbitReduction:
             assert res.total == total
             assert calls == {"_PairContext": contexts,
                              "moore_complexity": moore,
-                             "all_distinguished": searches}
+                             "pair_count": searches}
 
     def test_disagreement_in_a_relabelled_conjugate_context(
             self, monkeypatch):
         # Moore miscounts every product with n(n-1) = 6 reachable states,
-        # the off-diagonal contexts of the conjugate 3x3 pairs, so table
-        # filling disagrees with it.  The first pair to meet one is a
+        # the off-diagonal contexts of the conjugate 3x3 pairs, so the pair
+        # route disagrees with it.  The first pair to meet one is a
         # representative b1 with a conjugate b2 != b1, whose entry comes
         # through a non-identity pick; the campaign ends at that pair's own
         # first row.
@@ -793,21 +796,21 @@ class TestOrbitReduction:
         # the pair's own first combo, not its representative's
         assert fields[4:9] == ["true", "false", "0", "0", "and"]
         moore = int(fields[10])
-        assert (info.value.moore, info.value.table_filling) == (
+        assert (info.value.moore, info.value.pair_route) == (
             moore, moore + 1)
 
     def test_disagreement_cut_through_a_pick(self, monkeypatch):
-        # Table filling counts one state short only where Moore counts 6, so
-        # only some rows of a context disagree.  3x3 and meets one first in
+        # The pair route counts one state short only where Moore counts 6,
+        # so only some rows of a context disagree.  3x3 and meets one first in
         # pair 4, (b, c) with b the first basis and c = s*b*s^-1 != b,
         # whose entry is that of (b, b) from (0, s^-1(0)): the pair's first
         # disagreement is its first combo, the entry's is its second.  (At
         # 3x4 the first pair of each orbit in the sweep is its
         # representative, which takes its entry through an identity pick.)
         ops = _ops("and")
-        real = harness.distinguishability_complexity
-        monkeypatch.setattr(harness, "distinguishability_complexity",
-                            lambda d: real(d) - (real(d) == 6))
+        real = harness.pair_count
+        monkeypatch.setattr(harness, "pair_count",
+                            lambda *args: real(*args) - (real(*args) == 6))
         buf = io.StringIO()
         with pytest.raises(TwoPathDisagreement) as info:
             verify_theorem1(CampaignConfig(3, 3, ops=ops), out=buf)
@@ -816,7 +819,7 @@ class TestOrbitReduction:
         index, instance, flagged = _first_flagged(3, 3, ops)
         assert len(rows) == index + 1 == 4 * 36 + 1
         assert rows[-1] == info.value.row == flagged
-        assert (info.value.moore, info.value.table_filling) == (6, 5)
+        assert (info.value.moore, info.value.pair_route) == (6, 5)
         b, c = instance[:2]
         _, rep, s = basis_orbits(3)[4]
         assert c == enumerate_bases(3)[4] != b == enumerate_bases(3)[rep]
@@ -1005,7 +1008,7 @@ class TestFinalsOrbits:
         # before its orbit's representative c, so that (L, b) is emitted
         # first.  (L, c) generates the S_3 fibre product, which has more
         # finals orbits than size classes, so (L, b) goes through a pick.
-        # Table filling counts one state short where Moore counts 6: the
+        # The pair route counts one state short where Moore counts 6: the
         # report ends at (L, b)'s own first such row, its 11th, not at the
         # entry's 5th.
         left = basis_orbits(3)[0]
@@ -1017,9 +1020,9 @@ class TestFinalsOrbits:
         orbits = {3: (left,), 4: ((b, 1, s), (table[rep][0], 1,
                                                Perm.identity(4)))}
         monkeypatch.setattr(harness, "basis_orbits", orbits.__getitem__)
-        real = harness.distinguishability_complexity
-        monkeypatch.setattr(harness, "distinguishability_complexity",
-                            lambda d: real(d) - (real(d) == 6))
+        real = harness.pair_count
+        monkeypatch.setattr(harness, "pair_count",
+                            lambda *args: real(*args) - (real(*args) == 6))
         _, judged = _keep_sweep(monkeypatch)
         ops = _ops("and", "xor")
         buf = io.StringIO()
@@ -1039,13 +1042,58 @@ class TestFinalsOrbits:
         assert len(rows) == index + 1 == 11
         assert rows[-1] == info.value.row == flagged
         assert info.value.row.split("\t")[2:4] == [str(left[0]), str(b)]
-        assert (info.value.moore, info.value.table_filling) == (6, 5)
+        assert (info.value.moore, info.value.pair_route) == (6, 5)
         entry = [e for ctx, e in judged if ctx.head[3] == str(table[rep][0])
-                 and ctx.product.initial == 0][0]
+                 and ctx.start == 0][0]
         assert [i for i, v in enumerate(entry.verdicts) if v[3]][0] == 4
 
 
+class TestNoAutomatonObjects:
+    @pytest.mark.parametrize("config,sha256", [
+        (CampaignConfig(5, 5, mode="sample", sample_count=1000, seed=1),
+         "f881ff7136c3fb512558ea9c83db3f8857c2acacf2ba5de3c1575256b1730c74"),
+        (CampaignConfig(3, 4, ops=(BoolFn.by_name("xor"),
+                                   BoolFn.by_name("xnor"))),
+         "e2c154aea89bacf7170d0c2ea3d088e2faf384c32501ddf859b0238be3837d67"),
+    ], ids=["sampled-5x5", "exhaustive-3x4-xor"])
+    def test_campaigns_build_no_automaton(self, monkeypatch, config, sha256):
+        # A campaign reads the bases' image tuples: no table filling, no
+        # product or basis automaton, no reachability walk over one.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a campaign built an automaton")
+
+        names = ("distinguishability_complexity", "direct_product",
+                 "from_basis", "reachable_states")
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "permdfa":
+                for attr in names:
+                    if hasattr(module, attr):
+                        monkeypatch.setattr(module, attr, forbidden)
+        for cls in (automaton.Semiautomaton, automaton.DFA,
+                    product.ProductAutomaton):
+            monkeypatch.setattr(cls, "__init__", forbidden)
+        monkeypatch.setattr(automaton.Semiautomaton, "_trusted",
+                            classmethod(forbidden))
+        buf = io.StringIO()
+        verify_theorem1(config, out=buf)
+        assert hashlib.sha256(buf.getvalue().encode("ascii")).hexdigest() == (
+            sha256)
+
+
 class TestSampling:
+    def test_random_perm_draws_as_shuffle(self):
+        # _random_perm draws the bits Random.shuffle draws, so a Python
+        # whose shuffle draws otherwise fails here rather than changing
+        # every sampled report
+        for seed in range(1000):
+            rng, reference = random.Random(seed), random.Random(seed)
+            for degree in range(2, 65):
+                images = list(range(degree))
+                reference.shuffle(images)
+                assert harness._random_perm(rng, degree).image == tuple(
+                    images), (seed, degree)
+            assert rng.getstate() == reference.getstate()
+
     def test_requires_sample_mode(self):
         with pytest.raises(ValueError):
             sample_instances(CampaignConfig(3, 3))
@@ -1120,10 +1168,15 @@ SMALL_CAMPAIGNS = {
 }
 
 
-def _table_filling_off_by_one(monkeypatch):
-    real = harness.distinguishability_complexity
-    monkeypatch.setattr(harness, "distinguishability_complexity",
-                        lambda d: real(d) - 1)
+def _pair_count_off_by_one(monkeypatch):
+    # the pair route counts one state short on every row below m*n
+    real = harness.pair_count
+
+    def short(actions, reachable, start, mask, state_count):
+        count = real(actions, reachable, start, mask, state_count)
+        return count - (count < state_count)
+
+    monkeypatch.setattr(harness, "pair_count", short)
 
 
 def _swaps_left(actions):
@@ -1141,19 +1194,13 @@ def _moore_short_on_the_last_left_basis(monkeypatch):
 
 
 def _all_short_on_the_last_left_basis(monkeypatch):
-    # both minimizers count one state less and the prediction agrees: a
-    # FAIL on every row of those products, and no disagreement
+    # both routes count one state less: a FAIL on every row of those
+    # products, and no disagreement
     _moore_short_on_the_last_left_basis(monkeypatch)
-    real_table_filling = harness.distinguishability_complexity
+    real = harness.pair_count
     monkeypatch.setattr(
-        harness, "distinguishability_complexity",
-        lambda d: real_table_filling(d)
-        - _swaps_left([d.actions[letter] for letter in d.alphabet]))
-    real_prediction = harness.all_distinguished
-    monkeypatch.setattr(
-        harness, "all_distinguished",
-        lambda actions, *rest: not _swaps_left(actions)
-        and real_prediction(actions, *rest))
+        harness, "pair_count",
+        lambda actions, *rest: real(actions, *rest) - _swaps_left(actions))
 
 
 def _forks_expected(config, cpus):
@@ -1207,7 +1254,7 @@ class TestSplitSamples:
         # range for two CPUs and opens the second range for three
         pytest.param(
             CampaignConfig(3, 4, mode="sample", sample_count=100, seed=2),
-            _table_filling_off_by_one, 34, cpus, id=str(cpus))
+            _pair_count_off_by_one, 34, cpus, id=str(cpus))
         for cpus in (2, 3)] + [
         # a sweep forks nothing; the first of the 18 pairs of the last left
         # basis ends the report at its first row
@@ -1225,7 +1272,7 @@ class TestSplitSamples:
                 verify_theorem1(config, out=buf)
             exc = info.value
             runs.append((buf.getvalue(), exc.row, exc.moore,
-                         exc.table_filling, str(exc)))
+                         exc.pair_route, str(exc)))
         assert len(forks) == _forks_expected(config, cpus)
         assert runs[1] == runs[0]
         assert len(runs[0][0].splitlines()) == 1 + rows  # the header first
@@ -1484,7 +1531,7 @@ class TestSplitSamples:
         with pytest.raises(KeyboardInterrupt):
             verify_theorem1(config, out=io.StringIO())
         monkeypatch.setattr(harness, "_emit", real)
-        _table_filling_off_by_one(monkeypatch)
+        _pair_count_off_by_one(monkeypatch)
         with pytest.raises(TwoPathDisagreement):
             verify_theorem1(config, out=io.StringIO())
         assert open_descriptors() == before

@@ -32,9 +32,11 @@ from permdfa import (
     product_dfa,
     proper_functions,
 )
+from permdfa import harness
+from permdfa.automaton import moore_complexity
 from permdfa.harness import enumerate_bases
 from permdfa.perm import basis_orbits
-from permdfa.product import PairGraph, all_distinguished, flat_final_mask
+from permdfa.product import PairGraph, flat_final_mask, pair_count
 
 B2 = Basis.parse("id;(0,1)", 2)
 B3 = Basis.parse("(0,1,2);(0,1)", 3)
@@ -312,7 +314,7 @@ class TestNothingKeptPerSize:
         tracemalloc.start()
         try:
             pair_graph(p)
-            all_distinguished(acts, mask, p.state_count)
+            pair_count(acts, range(p.state_count), 0, mask, p.state_count)
             gc.collect()
             kept = tracemalloc.get_traced_memory()[0]
         finally:
@@ -321,8 +323,8 @@ class TestNothingKeptPerSize:
 
 
 def component_scan(components, mask):
-    """Reference: the scan of pair_graph(p).components that
-    all_distinguished replaced."""
+    """Reference: the scan of pair_graph(p).components that pair_count's
+    search replaces."""
     return all(has_distinguishing_pair(c, mask) for c in components)
 
 
@@ -359,8 +361,8 @@ class TestSearchAgainstComponentScan:
                 components = pair_graph(p).components
                 for mask in masks:
                     want = component_scan(components, mask)
-                    assert all_distinguished(actions, mask, m * n) == want, (
-                        b1, right.actions, mask)
+                    assert (pair_count(actions, range(m * n), 0, mask, m * n)
+                            == m * n) == want, (b1, right.actions, mask)
                     answers.add(want)
         # no connected 2x3 or 3x3 product falls short of m*n
         assert answers == ({True} if (m, n) in ((2, 3), (3, 3))
@@ -389,7 +391,8 @@ class TestSearchAgainstComponentScan:
                       for f in projections]
             for mask in masks:
                 want = component_scan(components, mask)
-                assert all_distinguished(actions, mask, n * n) == want
+                assert (pair_count(actions, range(n * n), 0, mask, n * n)
+                        == n * n) == want
                 answers.add(want)
         assert answers == {True, False}
 
@@ -402,6 +405,74 @@ class TestSearchAgainstComponentScan:
     def test_format_pair_graph_rejects_non_bijective_letter(self):
         with pytest.raises(NotAPermutationError):
             format_pair_graph(_non_bijective_product(), {0})
+
+
+def _representative_contexts(m, n):
+    """The pair contexts an exhaustive m x n sweep judges: one per orbit
+    pair of bases and class of start states, less those whose start another
+    context of the same orbit pair reaches."""
+    tables = [basis_orbits(k) for k in (m, n)]
+    starts = [sorted({(rep, r.image.index(0)) for _, rep, r in table})
+              for table in tables]
+    covered = set()
+    for rep1, i0 in starts[0]:
+        for rep2, j0 in starts[1]:
+            if (rep1, rep2, i0 * n + j0) not in covered:
+                ctx = harness._PairContext(tables[0][rep1][0],
+                                           tables[1][rep2][0], i0 * n + j0)
+                covered.update((rep1, rep2, q) for q in ctx.reachable)
+                yield ctx
+
+
+class TestPairCount:
+    """The pair route's count equals Moore's on the reachable part."""
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4),
+                                     (4, 4)])
+    def test_every_combo_of_every_representative_context(self, m, n):
+        # every flat mask of a (F, F', op) choice, one of each complementary
+        # pair, as neither count changes under complement
+        full = (1 << (m * n)) - 1
+        masks = {min(flat, flat ^ full) for flat in (
+            flat_final_mask(op, fmask, m, gmask, n)
+            for fmask in range(1, (1 << m) - 1)
+            for gmask in range(1, (1 << n) - 1)
+            for op in proper_functions())}
+        shapes = set()
+        for ctx in _representative_contexts(m, n):
+            shapes.add(ctx.conjugate_bound)
+            for mask in masks:
+                assert pair_count(ctx.actions, ctx.reachable, ctx.start, mask,
+                                  ctx.mn) == moore_complexity(
+                    ctx.actions, ctx.reachable, mask, ctx.mn), (
+                    ctx.head, ctx.start, mask)
+        # conjugate contexts start on the conjugator's graph (n states) and
+        # off it (n(n-1) states)
+        assert shapes == ({-1} if m != n else {-1, n, n * (n - 1)})
+
+    @pytest.mark.parametrize("n", [5, 8, 12, 20])
+    def test_seeded_rows_with_conjugate_bases_and_random_starts(self, n):
+        # every other row has a conjugate right basis; each row takes a
+        # (F, F', op) mask and a raw mask over all states
+        rng = random.Random(n)
+        ops = proper_functions()
+        counts = set()
+        for i in range(100):
+            b1 = harness._random_basis(rng, n)
+            b2 = (b1.conjugated(harness._random_perm(rng, n)) if i % 2
+                  else harness._random_basis(rng, n))
+            ctx = harness._PairContext(b1, b2, rng.randrange(n * n))
+            for mask in (flat_final_mask(rng.choice(ops),
+                                         rng.randrange(1, (1 << n) - 1), n,
+                                         rng.randrange(1, (1 << n) - 1), n),
+                         rng.getrandbits(n * n)):
+                count = pair_count(ctx.actions, ctx.reachable, ctx.start,
+                                   mask, n * n)
+                assert count == moore_complexity(ctx.actions, ctx.reachable,
+                                                 mask, n * n), (ctx.head, mask)
+                counts.add(count)
+        # minimal rows and both conjugate shapes occur
+        assert {n, n * (n - 1), n * n} <= counts
 
 
 class TestDistinguishingPairs:

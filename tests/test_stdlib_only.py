@@ -16,6 +16,8 @@ SRC = ROOT / "src" / "permdfa"
 # Public names that no other runtime module uses, each kept for one reason.
 OUTSIDE_USE = {
     "accepts": "the language semantics that tests compare products against",
+    "distinguishability_complexity": "the independent table-filling oracle"
+    " that minimize is tested against, and a span perfbench traces",
     "equivalence_classes": "the Nerode classes, which the property tests check",
     "evaluate_instance": "the unreduced reference for orbit-reduced campaigns",
     "generates_symmetric": "the generation test on Perms, checked against sympy",
