@@ -12,7 +12,9 @@ A campaign judges a basis pair on all of its combos, the (F, F', op)
 choices of its rows, into an entry (_Judged) that holds the verdicts and
 their tally, then emits the entry (_emit): the one place that writes rows,
 builds VerificationRecords and raises TwoPathDisagreement, which ends the
-rows at the pair's first disagreement; CampaignResult._add adds the tally.
+rows at the pair's first disagreement.  CampaignResult._add adds a sampled
+entry's tally as it is judged, and a sweep's entries' tallies at its end,
+each times the number of pairs that emit it.
 Complementing the product's finals, or moving them by an element of the
 group G that the letters generate on the product states, changes neither
 the Nerode partition nor which pair-graph components hold a distinguishing
@@ -23,23 +25,16 @@ of start states; every pair of the orbit emits its entry as it is or
 through a pick that reorders its verdicts (see _sweep).  evaluate_instance
 judges a fresh context per instance and so is the unreduced reference.
 
-_emit builds a pair's rows as its prefix joined with row bodies (combo text
-and verdict text), from a cache that travels with the combos and is keyed
-by the pair's verdict texts in combo order.  Every pair of a sweep shares
-one cache, and it stays small: the verdicts of a pair depend only on the
-group its letters generate on the product states, and few groups occur, so
-the 3,888 pairs of 3x4 show 7 verdict sequences and the 46,656 of 4x4 at
-most 31.
+_emit writes a pair's prefix, then the prefix joined with its row bodies
+(combo text and verdict text).  An entry keeps its bodies per pick, taken
+from a cache that travels with the combos, keyed by the verdict texts in
+combo order.  Every pair of a sweep shares one cache, and it stays small:
+the verdicts of a pair depend only on the group its letters generate on
+the product states, and few groups occur, so the 3,888 pairs of 3x4 show
+7 verdict sequences and the 46,656 of 4x4 at most 31.
 
-An exhaustive campaign judges every basis pair in this process (_sweep).
-A sampled campaign cuts its samples into contiguous ranges, one per CPU
-(_split): this process judges the first range of a round and forked
-children the others, each writing its tallies and then its rows to a
-memfd spool.  This process keeps a child's spool, copied into the report
-in sample order, only when the child exits with status 0, and judges
-every other range again itself, so what a failure looks like is decided
-in this process alone.  A range holds at most _SPOOL_ROWS samples, so a
-large campaign runs in rounds.
+An exhaustive campaign runs in this process (_sweep); a sampled one forks
+a child for each range of its samples but the first of a round (_split).
 
 The reproduction reports live in reproductions; reproduce and
 REPRODUCE_IDS are re-exported here.
@@ -55,7 +50,7 @@ import os
 import random
 import struct
 import sys
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import compress, islice
 from operator import add, itemgetter
@@ -117,10 +112,11 @@ _MIN_SAMPLE_RANGE = 32
 # about 43, 70, 144 and 295 MiB.
 _SPOOL_ROWS = 1 << 19
 
-# A sweep copies its rows into the report whenever its batch holds this
-# many characters, not once per pair (about 12 KB at 3x4 xor,xnor): on the
-# exhaustive-3x4-xor benchmark, 2-CPU host, one write per pair read 7.7 to
-# 8.5M instances/s and 64 KiB batches 9.2 to 9.7M.
+# A sweep copies its rows into the report whenever its io.StringIO batch
+# holds this many characters, not once per pair (about 12 KB at 3x4
+# xor,xnor): on the exhaustive-3x4-xor benchmark, 2-CPU host, one write per
+# pair read 9.96 to 10.15M instances/s, 64 KiB batches 13.0 to 13.4M, and
+# a list batch that counts its characters in a write method 12.7 to 13.0M.
 _BATCH = 1 << 16
 
 # The CampaignResult counts of a tally (a _Judged entry's, a child's range's).
@@ -206,6 +202,10 @@ class VerificationRecord(namedtuple("VerificationRecord", (
                             self.conjugate, self.connected)
                 + _combo_text(self.finals_left, self.finals_right, self.op)
                 + _verdict_text(self.predicted, self.oracle, self.status))
+
+
+# What a campaign gives each of its records to, if anything.
+_Sink = Optional[Callable[[VerificationRecord], None]]
 
 
 class CampaignResult:
@@ -335,12 +335,13 @@ def _judge_mask(ctx: _PairContext, flat: int):
 class _Judged:
     """A basis pair judged on every one of its combos' finals masks, each
     {mask, ~mask} once: the verdicts (as _judge_mask gives them) in combo
-    order, their verdict texts, and one tally of them, its counts in
-    _TALLIES order."""
+    order, their verdict texts, one tally of them (counts in _TALLIES
+    order), and bodies: _emit's row bodies for each pick it was given."""
 
-    __slots__ = ("verdicts", "texts", "tally")
+    __slots__ = ("verdicts", "texts", "tally", "bodies")
 
     def __init__(self, ctx: _PairContext, masks):
+        self.bodies = {}
         full = (1 << ctx.mn) - 1
         memo = {}
         verdicts = self.verdicts = []
@@ -361,20 +362,22 @@ class _Judged:
 
 
 def _emit(head, combos, entry: _Judged, pick: itemgetter,
-          result: CampaignResult,
-          sink: Optional[Callable[[VerificationRecord], None]],
-          out: Optional[TextIO]) -> None:
-    """Write a pair's rows, add its tally to result and give sink its records.
+          result: CampaignResult, sink: _Sink, out: Optional[TextIO]) -> None:
+    """Write a pair's rows, give sink its records and set result.first_fail.
 
     entry was judged for this pair or for its orbit's representative, whose
     verdicts pick lists in this pair's combo order (_ALL: in the same one).
     The pair's first disagreement in that order ends its rows and its
-    records and raises TwoPathDisagreement; result, which the campaign
-    drops with the exception, takes the whole tally.  Records are built
-    only for sink and for a pair with a FAIL: the campaign's first FAIL and
-    a disagreement.
+    records and raises TwoPathDisagreement.  Records are built only for
+    sink and for a pair with a FAIL: the campaign's first FAIL and a
+    disagreement.  The caller adds the entry's tally to result.
+    A row is the pair's prefix and a body: the combo text and the verdict
+    text, which ends the row.  out takes the prefix, then the prefix joined
+    with entry.bodies[pick], which the first pair through pick takes from
+    the cache in combos: a pair's verdict texts are hashed once per entry
+    and pick.
     """
-    choices, _, texts, bodies = combos
+    choices, _, texts, shared = combos
     n_fail = entry.tally[3]
     stop = None
     if sink is not None or n_fail:
@@ -383,18 +386,17 @@ def _emit(head, combos, entry: _Judged, pick: itemgetter,
             # a disagreement is a FAIL
             stop = next((i + 1 for i, v in enumerate(verdicts) if v[3]), None)
     if out is not None:
-        # each row is the pair's prefix and a body: the combo text and the
-        # verdict text, which ends the row
-        verdict_texts = pick(entry.texts)
-        pair_bodies = bodies.get(verdict_texts)
-        if pair_bodies is None:
-            pair_bodies = bodies[verdict_texts] = list(
-                map(add, texts, verdict_texts))
-        if stop is not None:
-            pair_bodies = pair_bodies[:stop]
+        bodies = entry.bodies.get(pick)
+        if bodies is None:
+            verdict_texts = pick(entry.texts)
+            bodies = shared.get(verdict_texts)
+            if bodies is None:
+                bodies = shared[verdict_texts] = list(
+                    map(add, texts, verdict_texts))
+            entry.bodies[pick] = bodies
         prefix = _row_prefix(*head)
-        out.write(prefix + prefix.join(pair_bodies))
-    result._add(entry.tally)
+        out.write(prefix)
+        out.write(prefix.join(bodies if stop is None else bodies[:stop]))
     if sink is None and not n_fail:
         return
     # _make, not the class: its __new__ takes twelve arguments in Python,
@@ -415,13 +417,9 @@ def _emit(head, combos, entry: _Judged, pick: itemgetter,
                                   *verdicts[stop - 1][3])
 
 
-def evaluate_instance(
-    b1: Basis,
-    b2: Basis,
-    finals_left: Sequence[int],
-    finals_right: Sequence[int],
-    op: BoolFn,
-) -> VerificationRecord:
+def evaluate_instance(b1: Basis, b2: Basis, finals_left: Sequence[int],
+                      finals_right: Sequence[int],
+                      op: BoolFn) -> VerificationRecord:
     """Judge a single instance exactly as a campaign would."""
     m, n = b1.degree, b2.degree
     if not (all(q in range(m) for q in finals_left)
@@ -440,11 +438,14 @@ def evaluate_instance(
 
 def _judge_one(b1: Basis, b2: Basis, fmask: int, gmask: int, op: BoolFn,
                result: CampaignResult, sink, out) -> None:
-    """Judge and emit one instance as a basis pair with one combo."""
+    """Judge one instance as a pair with one combo, add its tally to result
+    and emit it."""
     ctx = _PairContext(b1, b2)
     combos = _combos(ctx.m, ctx.n, [(mask_states(fmask, ctx.m),
                                      mask_states(gmask, ctx.n), op)])
-    _emit(ctx.head, combos, _Judged(ctx, combos[1]), _ALL, result, sink, out)
+    entry = _Judged(ctx, combos[1])
+    result._add(entry.tally)
+    _emit(ctx.head, combos, entry, _ALL, result, sink, out)
 
 
 def exhaustive_instance_count(config: CampaignConfig) -> int:
@@ -453,11 +454,8 @@ def exhaustive_instance_count(config: CampaignConfig) -> int:
             * ((1 << m) - 2) * ((1 << n) - 2) * len(config.resolved_ops()))
 
 
-def verify_theorem1(
-    config: CampaignConfig,
-    sink: Optional[Callable[[VerificationRecord], None]] = None,
-    out: Optional[TextIO] = None,
-) -> CampaignResult:
+def verify_theorem1(config: CampaignConfig, sink: _Sink = None,
+                    out: Optional[TextIO] = None) -> CampaignResult:
     """Run the campaign described by config and return the tallies.
 
     Exhaustive mode walks every ordered basis pair, every pair of proper
@@ -521,8 +519,7 @@ def _orbit_firsts(b1: Basis, b2: Basis) -> List[int]:
     return first
 
 
-def _sweep(config: CampaignConfig, result: CampaignResult,
-           sink: Optional[Callable[[VerificationRecord], None]],
+def _sweep(config: CampaignConfig, result: CampaignResult, sink: _Sink,
            out: Optional[TextIO]) -> None:
     """Judge and emit every basis pair of an exhaustive campaign into
     result, sink and out, in lexicographic order, in this process.
@@ -544,6 +541,8 @@ def _sweep(config: CampaignConfig, result: CampaignResult,
     other pairs go through a pick, in which _emit finds a pair's own first
     disagreement.  _emit writes into a batch that out takes at each _BATCH
     characters and at the end, so a disagreement ends the report at its row.
+    Each entry's tally, times the number of pairs that emit it, goes into
+    result at the end: a disagreement or an error drops result anyway.
     """
     m, n = config.m, config.n
     ops = config.resolved_ops()
@@ -560,10 +559,11 @@ def _sweep(config: CampaignConfig, result: CampaignResult,
     left = _relabelled_offsets(m, ((1 << n) - 2) * k)
     right = _relabelled_offsets(n, k)
     judged = {}  # (rep1, rep2, state) -> (conjugate, connected), entry, pick
-    starts = [sorted({(rep, start) for _, rep, _, _, start in side})
+    weights = Counter()  # entry -> the number of pairs that emit it
+    starts = [Counter((rep, start) for _, rep, _, _, start in side)
               for side in (left, right)]
-    for rep1, i0 in starts[0]:
-        for rep2, j0 in starts[1]:
+    for (rep1, i0), pairs1 in sorted(starts[0].items()):
+        for (rep2, j0), pairs2 in sorted(starts[1].items()):
             if (rep1, rep2, i0 * n + j0) not in judged:
                 b1, b2 = left[rep1][0], right[rep2][0]
                 ctx = _PairContext(b1, b2, i0 * n + j0)
@@ -574,6 +574,8 @@ def _sweep(config: CampaignConfig, result: CampaignResult,
                 cached = ctx.head[4:], entry, _ALL if sized else None
                 for state in ctx.reachable:
                     judged[rep1, rep2, state] = cached
+            entry = judged[rep1, rep2, i0 * n + j0][1]
+            weights[entry] += pairs1 * pairs2
     picks = {}
     batch = None if out is None else io.StringIO()
     try:
@@ -594,6 +596,8 @@ def _sweep(config: CampaignConfig, result: CampaignResult,
                 if batch is not None and batch.tell() >= _BATCH:
                     out.write(batch.getvalue())
                     batch = io.StringIO()
+        for entry, weight in weights.items():
+            result._add([weight * count for count in entry.tally])
     finally:
         if batch is not None:
             out.write(batch.getvalue())
@@ -632,11 +636,8 @@ def _random_basis(rng: random.Random, degree: int) -> Basis:
                        f"after {_SAMPLE_TRY_CAP} tries")
 
 
-def sample_instances(
-    config: CampaignConfig,
-    sink: Optional[Callable[[VerificationRecord], None]] = None,
-    out: Optional[TextIO] = None,
-) -> CampaignResult:
+def sample_instances(config: CampaignConfig, sink: _Sink = None,
+                     out: Optional[TextIO] = None) -> CampaignResult:
     """Seeded random campaign; sample i depends only on (seed, i).
 
     Each sample draws its own splitmix64 value from the configured seed and
@@ -650,8 +651,8 @@ def sample_instances(
 
 
 def _sample_range(config: CampaignConfig, result: CampaignResult,
-                  sink: Optional[Callable[[VerificationRecord], None]],
-                  out: Optional[TextIO], start: int, stop: int) -> None:
+                  sink: _Sink, out: Optional[TextIO], start: int,
+                  stop: int) -> None:
     """Judge samples start..stop-1 into result, sink and out."""
     m, n = config.m, config.n
     ops = config.resolved_ops()
@@ -669,8 +670,7 @@ def _sample_range(config: CampaignConfig, result: CampaignResult,
                    result, sink, out)
 
 
-def _split(config: CampaignConfig, result: CampaignResult,
-           sink: Optional[Callable[[VerificationRecord], None]],
+def _split(config: CampaignConfig, result: CampaignResult, sink: _Sink,
            out: Optional[TextIO]) -> None:
     """Judge a sampled campaign into result, sink and out on every CPU the
     process may use.

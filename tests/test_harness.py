@@ -924,6 +924,67 @@ class TestOrbitReduction:
         assert hashlib.sha256(buf.getvalue().encode("ascii")).hexdigest() == (
             "e2c154aea89bacf7170d0c2ea3d088e2faf384c32501ddf859b0238be3837d67")
 
+    def test_one_tally_add_per_entry(self, monkeypatch):
+        # A sweep adds each judged entry's tally once, times the number of
+        # pairs that emit it, not once per pair.
+        _, judged = _keep_sweep(monkeypatch)
+        added = []
+        add = harness.CampaignResult._add
+
+        def counting(result, tallies):
+            added.append(tuple(tallies))
+            add(result, tallies)
+
+        monkeypatch.setattr(harness.CampaignResult, "_add", counting)
+        config = CampaignConfig(3, 4, ops=_ops("xor", "xnor"))
+        res = verify_theorem1(config, out=io.StringIO())
+        assert len(added) == len(judged) == 27
+        assert [sum(column) for column in zip(*added)] == [
+            res.total, res.n_pass, res.n_exception, res.n_fail,
+            res.n_conjugate, res.below_mn]
+        assert (res.total, res.n_exception, res.below_mn) == (
+            653184, 31104, 31104)
+
+    def test_verdict_texts_picked_once_per_entry_and_pick(self, monkeypatch):
+        # Each pick lists an entry's verdict texts once, for the first pair
+        # that emits the entry through it; every later pair reuses the
+        # entry's bodies for that pick, which are one of the 7 lists of the
+        # shared cache.
+        caches, entries = [], set()
+        picked = collections.Counter()
+        wrapped = {}  # pick -> its counting wrapper, one per pick
+        combos, emit = harness._combos, harness._emit
+
+        def keeping(*args):
+            made = combos(*args)
+            caches.append(made[3])
+            return made
+
+        def counting(head, combos, entry, pick, *rest):
+            entries.add(entry)
+            if pick not in wrapped:
+                def counted(xs, pick=pick):
+                    if any(xs is e.texts for e in entries):
+                        picked[pick, id(xs)] += 1
+                    return pick(xs)
+                wrapped[pick] = counted
+            emit(head, combos, entry, wrapped[pick], *rest)
+
+        monkeypatch.setattr(harness, "_combos", keeping)
+        monkeypatch.setattr(harness, "_emit", counting)
+        verify_theorem1(CampaignConfig(3, 4, ops=_ops("xor", "xnor")),
+                        out=io.StringIO())
+        assert len(entries) == 27 and len(caches) == 1
+        # 1,314 (entry, pick) pairs emit the 3,888 pairs
+        assert len(picked) == 1314 and max(picked.values()) == 1
+        shared = list(caches[0].values())
+        assert len(shared) == 7
+        memoized = [bodies for entry in entries
+                    for bodies in entry.bodies.values()]
+        assert len(memoized) == len(picked)
+        assert all(any(bodies is list_ for list_ in shared)
+                   for bodies in memoized)
+
 
 def _keep_sweep(monkeypatch):
     """Record the sweep's combo masks and each (context, entry) it judges:
