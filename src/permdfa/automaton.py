@@ -52,18 +52,6 @@ class Semiautomaton:
         self.actions = fixed
         self.initial = initial
 
-    @classmethod
-    def _trusted(cls, state_count: int, alphabet: tuple[str, ...],
-                 actions: dict[str, tuple[int, ...]], initial: int):
-        """A semiautomaton from valid letters and image tuples already
-        known to map the states into themselves, unchecked."""
-        out = object.__new__(cls)
-        out.state_count = state_count
-        out.alphabet = alphabet
-        out.actions = actions
-        out.initial = initial
-        return out
-
     def step(self, state: int, letter: str) -> int:
         try:
             act = self.actions[letter]
@@ -96,16 +84,10 @@ class DFA(Semiautomaton):
 
 
 def from_basis(basis, initial: int = 0) -> Semiautomaton:
-    """The semiautomaton whose letter a acts as s and letter b as t.
-
-    The basis's images are already checked permutations of its degree, so
-    only the initial state is checked here.
-    """
-    if not 0 <= initial < basis.degree:
-        raise ValueError(f"initial state {initial} out of range")
-    return Semiautomaton._trusted(
-        basis.degree, ("a", "b"), {"a": basis.s.image, "b": basis.t.image},
-        initial)
+    """The semiautomaton whose letter a acts as s and letter b as t, built
+    and checked like any other."""
+    return Semiautomaton(basis.degree, ("a", "b"),
+                         {"a": basis.s.image, "b": basis.t.image}, initial)
 
 
 def run(a: Semiautomaton, word: Iterable[str], start: Optional[int] = None) -> int:

@@ -1,8 +1,8 @@
 """Command line entry points.
 
 Exit codes: 0 success, 1 a verification campaign found a failing instance
-(or the two judgement routes disagreed), 2 usage or input errors, or a
-command that ran out of memory.
+or the two judgement routes disagreed (in verify or reproduce), 2 usage or
+input errors, or a command that ran out of memory.
 """
 
 import argparse

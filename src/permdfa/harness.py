@@ -36,8 +36,8 @@ the product states, and few groups occur, so the 3,888 pairs of 3x4 show
 An exhaustive campaign runs in this process (_sweep); a sampled one forks
 a child for each range of its samples but the first of a round (_split).
 
-The reproduction reports live in reproductions; reproduce and
-REPRODUCE_IDS are re-exported here.
+The reproduction reports live in reproductions and count every instance
+through evaluate_instance; reproduce and REPRODUCE_IDS are re-exported here.
 
 Campaigns stream rows in a fixed order (bases lexicographic, then left
 finals, then right finals, then operation table ascending; samples in index

@@ -21,7 +21,7 @@ import math
 import re
 from collections import namedtuple
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     CapExceededError,
@@ -250,16 +250,6 @@ def _closure_images(
     return elements
 
 
-def _generator_images(gens: tuple[Perm, ...]) -> tuple[list[tuple[int, ...]], int]:
-    """The generators' image tuples and their shared degree."""
-    if not gens:
-        raise ValueError("at least one generator is required")
-    degree = gens[0].degree
-    if any(g.degree != degree for g in gens):
-        raise DegreeMismatchError("generators must share a degree")
-    return [g.image for g in gens], degree
-
-
 @lru_cache(maxsize=None)
 def _is_prime(k: int) -> bool:
     return k >= 2 and all(k % d for d in range(2, math.isqrt(k) + 1))
@@ -376,7 +366,13 @@ def _images_generate_symmetric(images: Sequence[Sequence[int]], degree: int) -> 
 
 def generates_symmetric(gens: Iterable[Perm]) -> bool:
     """Whether the generators' closure is the full symmetric group."""
-    return _images_generate_symmetric(*_generator_images(tuple(gens)))
+    gens = tuple(gens)
+    if not gens:
+        raise ValueError("at least one generator is required")
+    degree = gens[0].degree
+    if any(g.degree != degree for g in gens):
+        raise DegreeMismatchError("generators must share a degree")
+    return _images_generate_symmetric([g.image for g in gens], degree)
 
 
 class Basis:
@@ -424,10 +420,6 @@ class Basis:
         so the image of a generating pair generates too and the generation
         test is not run again."""
         return Basis._trusted(conjugate(r, self.s), conjugate(r, self.t))
-
-    def __iter__(self) -> Iterator[Perm]:
-        yield self.s
-        yield self.t
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Basis) and self.s == other.s and self.t == other.t

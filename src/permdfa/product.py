@@ -40,8 +40,8 @@ class ProductAutomaton(Semiautomaton):
     """Componentwise product of two semiautomata over the same letters, in
     the left factor's order.
 
-    Both factors were checked when they were built, so the product's letter
-    actions, which map (i, j) to (left(i), right(j)), are not checked again.
+    Each letter maps (i, j) to (left(i), right(j)) by its factor actions;
+    Semiautomaton.__init__ checks the product as it checks any automaton.
     """
 
     __slots__ = ("left_count", "right_count")
@@ -52,12 +52,9 @@ class ProductAutomaton(Semiautomaton):
                 f"alphabets differ: {left.alphabet!r} vs {right.alphabet!r}"
             )
         m, n = left.state_count, right.state_count
-        self.state_count = m * n
-        self.alphabet = left.alphabet
-        self.actions = {
+        super().__init__(m * n, left.alphabet, {
             letter: product_action(left.actions[letter], right.actions[letter])
-            for letter in left.alphabet}
-        self.initial = left.initial * n + right.initial
+            for letter in left.alphabet}, left.initial * n + right.initial)
         self.left_count = m
         self.right_count = n
 

@@ -2,19 +2,16 @@
 
 Each known id rebuilds one worked scenario from first principles and prints
 the quantities it is about.  The reports are frozen under tests/golden/.
-Every complexity they print comes from _complexity_of.
+Every complexity they print is the oracle of harness.evaluate_instance,
+which judges the instance as a campaign does: the pair route must count
+what Moore counts, or TwoPathDisagreement is raised.
 """
 
 from typing import Optional
 
-from .automaton import (
-    from_basis,
-    is_connected,
-    mask_states,
-    moore_complexity,
-    reachable_states,
-    transition_semigroup,
-)
+from . import harness
+from .automaton import (from_basis, is_connected, mask_states,
+                        transition_semigroup)
 from .boolops import CANONICAL_TABLES, BoolFn, proper_functions
 from .perm import Basis, Perm, _conjugator_text, bases_conjugate
 from .product import (
@@ -30,13 +27,10 @@ from .product import (
 )
 
 
-def _complexity_of(b1: Basis, b2: Basis, fmask: int, gmask: int,
-                   op: BoolFn) -> int:
-    prod = direct_product(from_basis(b1), from_basis(b2))
-    flat = flat_final_mask(op, fmask, b1.degree, gmask, b2.degree)
-    actions = [prod.actions[letter] for letter in prod.alphabet]
-    return moore_complexity(actions, reachable_states(prod), flat,
-                            prod.state_count)
+def _judge(b1: Basis, b2: Basis, fmask: int, gmask: int, op: BoolFn):
+    """The instance's VerificationRecord, judged as a campaign judges it."""
+    return harness.evaluate_instance(b1, b2, mask_states(fmask, b1.degree),
+                                     mask_states(gmask, b2.degree), op)
 
 
 def _finals_text(fmask: int, m: int, gmask: int, n: int) -> str:
@@ -91,8 +85,8 @@ def _reproduce_example_2_2() -> str:
                 for gmask in (1, 2):
                     parts = []
                     for op in ops:
-                        c = _complexity_of(bases[i], bases[j],
-                                           fmask, gmask, op)
+                        c = _judge(bases[i], bases[j], fmask, gmask,
+                                   op).oracle
                         parts.append(f"{op.name}={c}")
                         if op.name == "xor":
                             xor_low = xor_low and c < 4
@@ -124,7 +118,7 @@ def _reproduce_example_3_2() -> str:
     flat = flat_final_mask(op, fmask, 2, gmask, 3)
     prod = direct_product(from_basis(b1), from_basis(b2))
     lines.append(format_pair_graph(prod, flat))
-    oracle = _complexity_of(b1, b2, fmask, gmask, op)
+    oracle = _judge(b1, b2, fmask, gmask, op).oracle
     lines.append(f"oracle complexity: {oracle}")
     return "\n".join(lines) + "\n"
 
@@ -139,7 +133,7 @@ def _reproduce_example_3_3() -> str:
     lines.append(_finals_text(fmask, 3, gmask, 4))
     for op in map(BoolFn.by_name, ("and", "xor", "or")):
         lines.append(f"complexity {op.label()}: "
-                     f"{_complexity_of(b1, b2, fmask, gmask, op)}")
+                     f"{_judge(b1, b2, fmask, gmask, op).oracle}")
     flat = flat_final_mask(BoolFn.by_name("and"), fmask, 3, gmask, 4)
     prod = direct_product(from_basis(b1), from_basis(b2))
     want = (prod.flat(0, 0), prod.flat(0, 3))
@@ -158,19 +152,18 @@ def _reproduce_example_3_3() -> str:
 def _reproduce_example_3_4() -> str:
     b1 = Basis.parse("(0,1,2);(2,3)", 4)
     b2 = Basis.parse("(1,3,2);(0,2,1,3)", 4)
-    conjugate = bases_conjugate(b1, b2) is not None
-    connected = is_connected(direct_product(from_basis(b1), from_basis(b2)))
+    ops = list(map(BoolFn.by_name, ("and", "diff", "rdiff", "xor", "or")))
+    judged = [(fmask, gmask, [_judge(b1, b2, fmask, gmask, op) for op in ops])
+              for fmask, gmask in ((0b0011, 0b0011), (0b1001, 0b0110))]
+    first = judged[0][2][0]
     lines = ["reproduce example-3.4"]
     lines.append(f"left (4 states): {b1}")
     lines.append(f"right (4 states): {b2}")
-    lines.append(f"conjugate: {_bool_text(conjugate)}")
-    lines.append(f"connected: {_bool_text(connected)}")
-    for fmask, gmask in ((0b0011, 0b0011), (0b1001, 0b0110)):
-        ops = map(BoolFn.by_name, ("and", "diff", "rdiff", "xor", "or"))
-        parts = [f"{op.name}={_complexity_of(b1, b2, fmask, gmask, op)}"
-                 for op in ops]
-        lines.append(_finals_text(fmask, 4, gmask, 4) + ": "
-                     + " ".join(parts))
+    lines.append(f"conjugate: {_bool_text(first.conjugate)}")
+    lines.append(f"connected: {_bool_text(first.connected)}")
+    for fmask, gmask, records in judged:
+        lines.append(_finals_text(fmask, 4, gmask, 4) + ": " + " ".join(
+            f"{rec.op.name}={rec.oracle}" for rec in records))
     return "\n".join(lines) + "\n"
 
 
@@ -204,7 +197,7 @@ def _reproduce_prop_1(m: Optional[int], n: Optional[int]) -> str:
             break
         right, describe = _witness(name, n, swapped)
         lines.append(describe)
-        counts = [_complexity_of(left, right, fmask, gmask, op)
+        counts = [_judge(left, right, fmask, gmask, op).oracle
                   for op in canonical]
         lines.append(f"complexities vs {name}: " + " ".join(
             f"{op.name}={c}" for op, c in zip(canonical, counts)))
@@ -230,11 +223,11 @@ REPRODUCE_IDS = tuple(_REPORTS)
 def reproduce(ident: str, m: Optional[int] = None,
               n: Optional[int] = None) -> str:
     """Text report for one of the known worked scenarios."""
-    if ident != "prop-1" and (m is not None or n is not None):
-        raise ValueError(f"{ident} does not take --m/--n")
     report = _REPORTS.get(ident)
     if report is None:
         raise ValueError(
             f"unknown reproduction id {ident!r}; known ids: "
             + ", ".join(REPRODUCE_IDS))
+    if ident != "prop-1" and (m is not None or n is not None):
+        raise ValueError(f"{ident} does not take --m/--n")
     return report(m, n) if ident == "prop-1" else report()

@@ -416,10 +416,23 @@ class TestReproduce:
         assert r.stdout == (GOLDEN / "prop-1-m3-n4.txt").read_text()
 
     def test_unknown_id(self):
-        r = run_cli("reproduce", "example-9.9")
-        assert r.returncode == 2
-        assert "unknown reproduction id" in r.stderr
+        # the id is checked before the --m/--n rule
+        for degrees in ((), ("--m", "3")):
+            r = run_cli("reproduce", "example-9.9", *degrees)
+            assert r.returncode == 2
+            assert r.stderr.startswith(
+                "error: unknown reproduction id 'example-9.9'; known ids: ")
 
     def test_degrees_rejected(self):
         r = run_cli("reproduce", "example-1", "--m", "3")
         assert r.returncode == 2
+
+    def test_disagreement_exits_one(self, monkeypatch, capsys):
+        count = harness.pair_count
+        monkeypatch.setattr(harness, "pair_count",
+                            lambda *args: count(*args) - 1)
+        assert cli.main(["reproduce", "example-3.4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "two-path disagreement: Moore 16 vs pair route 15 on instance: ")

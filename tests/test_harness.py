@@ -1119,7 +1119,9 @@ class TestNoAutomatonObjects:
     ], ids=["sampled-5x5", "exhaustive-3x4-xor"])
     def test_campaigns_build_no_automaton(self, monkeypatch, config, sha256):
         # A campaign reads the bases' image tuples: no table filling, no
-        # product or basis automaton, no reachability walk over one.
+        # product or basis automaton, no reachability walk over one.  Every
+        # automaton, from_basis's and ProductAutomaton's included, is built
+        # through one of these __init__s.
         def forbidden(*args, **kwargs):
             raise AssertionError("a campaign built an automaton")
 
@@ -1133,8 +1135,6 @@ class TestNoAutomatonObjects:
         for cls in (automaton.Semiautomaton, automaton.DFA,
                     product.ProductAutomaton):
             monkeypatch.setattr(cls, "__init__", forbidden)
-        monkeypatch.setattr(automaton.Semiautomaton, "_trusted",
-                            classmethod(forbidden))
         buf = io.StringIO()
         verify_theorem1(config, out=buf)
         assert hashlib.sha256(buf.getvalue().encode("ascii")).hexdigest() == (
@@ -1613,12 +1613,26 @@ class TestConnectivityCheck:
 
 class TestReproduce:
     def test_unknown_id(self):
-        with pytest.raises(ValueError):
-            reproduce("example-9.9")
+        # the id is checked before the --m/--n rule
+        for degrees in ({}, {"m": 3}):
+            with pytest.raises(ValueError, match="^unknown reproduction id "
+                               "'example-9.9'; known ids: example-1, "):
+                reproduce("example-9.9", **degrees)
 
     def test_degrees_rejected_for_fixed_examples(self):
         with pytest.raises(ValueError):
             reproduce("example-1", m=3)
+
+    def test_counts_are_judged_by_both_routes(self, monkeypatch):
+        count = harness.pair_count
+        monkeypatch.setattr(harness, "pair_count",
+                            lambda *args: count(*args) - 1)
+        with pytest.raises(TwoPathDisagreement) as info:
+            reproduce("example-3.4")
+        assert str(info.value) == (
+            "Moore 16 vs pair route 15 on instance: 4\t4\t(0,1,2);(2,3)"
+            "\t(1,3,2);(0,2,1,3)\tfalse\ttrue\t0,1\t0,1\tand\tfalse\t16"
+            "\tFAIL")
 
     def test_prop1_needs_degrees(self):
         with pytest.raises(ValueError):

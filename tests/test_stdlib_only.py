@@ -19,9 +19,9 @@ OUTSIDE_USE = {
     "distinguishability_complexity": "the independent table-filling oracle"
     " that minimize is tested against, and a span perfbench traces",
     "equivalence_classes": "the Nerode classes, which the property tests check",
-    "evaluate_instance": "the unreduced reference for orbit-reduced campaigns",
     "generates_symmetric": "the generation test on Perms, checked against sympy",
-    "sample_instances": "the sampled campaign without the verify_theorem1 dispatch",
+    "sample_instances": "verify_theorem1 behind a check that the config is"
+    " in sample mode, which the acceptance tests call",
     "verify_theorem2": "the connectivity sweep the acceptance tests run",
 }
 
