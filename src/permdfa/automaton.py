@@ -150,10 +150,8 @@ def moore_classes(
                 key = (cls[q], *[cls[act[q]] for act in actions])
             else:
                 key = (cls[q], cls[a0[q]], cls[a1[q]])
-            c = ids.get(key)
-            if c is None:
-                c = ids[key] = len(ids)
-            new[q] = c
+            # a new key takes the next id: len(ids) is read before the insert
+            new[q] = ids.setdefault(key, len(ids))
         if len(ids) == k:
             return new, k
         cls = new

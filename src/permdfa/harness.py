@@ -40,9 +40,8 @@ The reproduction reports live in reproductions and count every instance
 through evaluate_instance; reproduce and REPRODUCE_IDS are re-exported here.
 
 Campaigns stream rows in a fixed order (bases lexicographic, then left
-finals, then right finals, then operation table ascending; samples in index
-order), so a report written twice with the same configuration is
-byte-identical.
+finals, right finals and operation table ascending; samples in index
+order): a report written twice from one configuration is byte-identical.
 """
 
 import io
@@ -101,9 +100,9 @@ CONJUGATE_SAMPLE_STRIDE = 8
 _MASK64 = (1 << 64) - 1
 
 # A sampled campaign gets one range per CPU the process may use, but no
-# range of fewer samples than this.  A forked range costs 3 to 6 ms on a
+# range of fewer samples than this.  A forked range costs 4 to 5.5 ms on a
 # 2-CPU host, copy-on-write faults in both processes included: the time of
-# about 16 samples at degree 5 and 40 at degrees 2 and 3.
+# about 40 samples at degree 5 and 55 to 65 at degrees 2 and 3.
 _MIN_SAMPLE_RANGE = 32
 
 # A range holds at most this many samples, one row each; a campaign with
@@ -289,16 +288,16 @@ class _PairContext:
                      self.connected)
 
 
-def _combos(m: int, n: int, choices):
-    """A pair's combos for the given list of (F, F', op) tuples, as
-    (choices, masks, texts, bodies): the choices, each one's flat finals
-    mask and row text, and an empty cache of row bodies for _emit, which
-    maps the verdict texts of a pair, in combo order, to its rows without
-    the pair's prefix.  Every pair of a sweep shares one set of combos."""
+def _combos(m: int, n: int, triples):
+    """A pair's combos for a list of (F, F', op), F and F' as masks, as
+    (choices, masks, texts, bodies): each combo's choice (F and F' as state
+    tuples, and op), flat finals mask and row text, and an empty cache of
+    row bodies for _emit, which maps a pair's verdict texts, in combo order,
+    to its rows without the pair's prefix.  A sweep's pairs share one."""
+    choices = [(mask_states(f, m), mask_states(g, n), op)
+               for f, g, op in triples]
     return (choices,
-            [flat_final_mask(op, finals_to_mask(finals_left), m,
-                             finals_to_mask(finals_right), n)
-             for finals_left, finals_right, op in choices],
+            [flat_final_mask(op, f, m, g, n) for f, g, op in triples],
             [_combo_text(*choice) for choice in choices], {})
 
 
@@ -370,12 +369,10 @@ def _emit(head, combos, entry: _Judged, pick: itemgetter,
     The pair's first disagreement in that order ends its rows and its
     records and raises TwoPathDisagreement.  Records are built only for
     sink and for a pair with a FAIL: the campaign's first FAIL and a
-    disagreement.  The caller adds the entry's tally to result.
-    A row is the pair's prefix and a body: the combo text and the verdict
-    text, which ends the row.  out takes the prefix, then the prefix joined
-    with entry.bodies[pick], which the first pair through pick takes from
-    the cache in combos: a pair's verdict texts are hashed once per entry
-    and pick.
+    disagreement.  The caller adds the entry's tally to result.  out takes
+    the prefix, then the prefix joined with entry.bodies[pick], which the
+    first pair through pick takes from the cache in combos: a pair's
+    verdict texts are hashed once per entry and pick.
     """
     choices, _, texts, shared = combos
     n_fail = entry.tally[3]
@@ -441,8 +438,7 @@ def _judge_one(b1: Basis, b2: Basis, fmask: int, gmask: int, op: BoolFn,
     """Judge one instance as a pair with one combo, add its tally to result
     and emit it."""
     ctx = _PairContext(b1, b2)
-    combos = _combos(ctx.m, ctx.n, [(mask_states(fmask, ctx.m),
-                                     mask_states(gmask, ctx.n), op)])
+    combos = _combos(ctx.m, ctx.n, [(fmask, gmask, op)])
     entry = _Judged(ctx, combos[1])
     result._add(entry.tally)
     _emit(ctx.head, combos, entry, _ALL, result, sink, out)
@@ -492,13 +488,16 @@ def _preimages(p: Sequence[int]) -> List[int]:
     return table
 
 
-def _relabelled_offsets(degree: int, stride: int):
-    """(basis, representative index, text, offsets, r^-1(0)) for each
-    entry (basis, rep, r) of basis_orbits(degree), where offsets[F - 1] is
-    stride * (r^-1 F - 1) for each proper finals mask F."""
-    return [(basis, rep, str(basis),
-             tuple(stride * (pre - 1) for pre in _preimages(r.image)[1:-1]),
-             r.image.index(0)) for basis, rep, r in basis_orbits(degree)]
+def _relabellings(degree: int, stride: int, k: int):
+    """(sides, tables): sides holds (basis, rep, text, relabelling index,
+    r^-1(0)) for each entry (basis, rep, r) of basis_orbits(degree), and
+    tables[relabelling index] lists stride * (r^-1 F - 1) + x for each
+    proper finals mask F and x below k, one table per distinct r."""
+    index = {}  # r's image -> its relabelling index
+    sides = [(basis, rep, str(basis), index.setdefault(r.image, len(index)),
+              r.image.index(0)) for basis, rep, r in basis_orbits(degree)]
+    return sides, [[stride * (pre - 1) + x for pre in _preimages(r)[1:-1]
+                    for x in range(k)] for r in index]
 
 
 def _orbit_firsts(b1: Basis, b2: Basis) -> List[int]:
@@ -546,18 +545,14 @@ def _sweep(config: CampaignConfig, result: CampaignResult, sink: _Sink,
     """
     m, n = config.m, config.n
     ops = config.resolved_ops()
-    proper = [[mask_states(mask, k) for mask in range(1, (1 << k) - 1)]
-              for k in (m, n)]
-    # every basis pair of the sweep shares one table of combos
-    combos = _combos(m, n, [(finals_left, finals_right, op)
-                            for finals_left in proper[0]
-                            for finals_right in proper[1] for op in ops])
+    combos = _combos(m, n, [(f, g, op) for f in range(1, (1 << m) - 1)
+                            for g in range(1, (1 << n) - 1) for op in ops])
     # Combo index of (F, F', op) is ((F - 1) * (2^n - 2) + F' - 1) * k + the
     # op's position, with F and F' as masks and k operations.
     k = len(ops)
     positions = list(range(len(combos[0])))
-    left = _relabelled_offsets(m, ((1 << n) - 2) * k)
-    right = _relabelled_offsets(n, k)
+    left, left_tables = _relabellings(m, ((1 << n) - 2) * k, 1)
+    right, right_tables = _relabellings(n, k, k)
     judged = {}  # (rep1, rep2, state) -> (conjugate, connected), entry, pick
     weights = Counter()  # entry -> the number of pairs that emit it
     starts = [Counter((rep, start) for _, rep, _, _, start in side)
@@ -576,21 +571,21 @@ def _sweep(config: CampaignConfig, result: CampaignResult, sink: _Sink,
                     judged[rep1, rep2, state] = cached
             entry = judged[rep1, rep2, i0 * n + j0][1]
             weights[entry] += pairs1 * pairs2
-    picks = {}
+    picks = [[None] * len(right_tables) for _ in left_tables]
     batch = None if out is None else io.StringIO()
     try:
-        for _, rep1, b1_text, f_offsets, i0 in left:
-            for _, rep2, b2_text, g_offsets, j0 in right:
+        for _, rep1, b1_text, li, i0 in left:
+            for _, rep2, b2_text, ri, j0 in right:
                 flags, entry, pick = judged[rep1, rep2, i0 * n + j0]
                 # pick(xs) lists xs at the representative's index of each
-                # combo; pairs with the same relabellings share it, and its
-                # indices come from positions, so cached getters add no ints.
-                pick = pick or picks.get((f_offsets, g_offsets))
+                # combo; pairs with the same relabellings (li, ri) share it,
+                # in picks[li][ri], and its indices come from positions, so
+                # cached getters add no ints.
+                pick = pick or picks[li][ri]
                 if pick is None:
-                    pick = picks[f_offsets, g_offsets] = itemgetter(*[
-                        positions[f + g + x]
-                        for f in f_offsets for g in g_offsets
-                        for x in range(k)])
+                    pick = picks[li][ri] = itemgetter(*[
+                        positions[f + g]
+                        for f in left_tables[li] for g in right_tables[ri]])
                 _emit((m, n, b1_text, b2_text, *flags), combos, entry, pick,
                       result, sink, batch)
                 if batch is not None and batch.tell() >= _BATCH:
@@ -614,24 +609,30 @@ def _splitmix64(seed: int, index: int) -> int:
 _SAMPLE_TRY_CAP = 10_000
 
 
-def _random_perm(rng: random.Random, degree: int) -> Perm:
-    """rng.shuffle of the identity, from the same bits in fewer calls."""
+@lru_cache(maxsize=None)
+def _shuffle_steps(degree: int) -> Tuple[Tuple[int, int], ...]:
+    """Random.shuffle's steps at the degree: (i, bit width of i + 1)."""
+    return tuple((i, (i + 1).bit_length()) for i in range(degree - 1, 0, -1))
+
+
+def _random_images(rng: random.Random, degree: int) -> Tuple[int, ...]:
+    """rng.shuffle of range(degree) from the same bits, in fewer calls."""
     images = list(range(degree))
     getrandbits = rng.getrandbits
-    for i in range(degree - 1, 0, -1):
-        k = (i + 1).bit_length()
+    for i, k in _shuffle_steps(degree):
         j = getrandbits(k)
         while j > i:
             j = getrandbits(k)
         images[i], images[j] = images[j], images[i]
-    return Perm._trusted(tuple(images))
+    return tuple(images)
 
 
 def _random_basis(rng: random.Random, degree: int) -> Basis:
+    """rng's first pair of draws that generates S_n, the only one made Perms."""
     for _ in range(_SAMPLE_TRY_CAP):
-        s, t = _random_perm(rng, degree), _random_perm(rng, degree)
-        if _images_generate_symmetric([s.image, t.image], degree):
-            return Basis._trusted(s, t)
+        s, t = _random_images(rng, degree), _random_images(rng, degree)
+        if _images_generate_symmetric((s, t), degree):
+            return Basis._trusted(Perm._trusted(s), Perm._trusted(t))
     raise RuntimeError(f"no generating pair found at degree {degree} "
                        f"after {_SAMPLE_TRY_CAP} tries")
 
@@ -660,8 +661,7 @@ def _sample_range(config: CampaignConfig, result: CampaignResult,
         rng = random.Random(_splitmix64(config.seed, i))
         b1 = _random_basis(rng, m)
         if m == n and i % CONJUGATE_SAMPLE_STRIDE == CONJUGATE_SAMPLE_STRIDE - 1:
-            r = _random_perm(rng, n)
-            b2 = b1.conjugated(r)
+            b2 = b1.conjugated(Perm._trusted(_random_images(rng, n)))
         else:
             b2 = _random_basis(rng, n)
         fmask = rng.randrange(1, (1 << m) - 1)

@@ -3,9 +3,10 @@
 This module also holds the two search loops the package shares: the
 point-orbit BFS (_point_orbit) behind reachability and transitivity, and
 the element closure (_closure_images) behind the generation test and
-transition semigroups. The generation test (_images_generate_symmetric)
-rejects by parity, transitivity and primitivity and accepts by Jordan's
-theorem on prime cycles; the closure is its exact fallback. What the package
+transition semigroups, which composes through one operator.itemgetter per
+generator. The generation test (_images_generate_symmetric) rejects by
+parity, transitivity and primitivity and accepts by Jordan's theorem on
+prime cycles; the closure is its exact fallback. What the package
 reads of a permutation's cycles (parity, Jordan certificate, cycle type and
 cycle text) comes from one bounded cache per image tuple, _cycle_facts,
 shared by the generation test, format_cycles and bases_conjugate.
@@ -21,6 +22,7 @@ import math
 import re
 from collections import namedtuple
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
@@ -205,16 +207,13 @@ def _point_orbit(actions: Sequence[Sequence[int]], start: int, size: int) -> byt
     some sequence of maps carries start to q."""
     seen = bytearray(size)
     seen[start] = 1
-    frontier = [start]
-    while frontier:
-        step = []
-        for q in frontier:
-            for act in actions:
-                v = act[q]
-                if not seen[v]:
-                    seen[v] = 1
-                    step.append(v)
-        frontier = step
+    queue = [start]
+    for q in queue:
+        for act in actions:
+            v = act[q]
+            if not seen[v]:
+                seen[v] = 1
+                queue.append(v)
     return seen
 
 
@@ -234,11 +233,14 @@ def _closure_images(
     """
     elements = set(seed)
     frontier = list(elements)
+    # x composed with g is itemgetter(*g)(x), except on one point, where
+    # itemgetter returns the item and every map is the identity
+    compose = [itemgetter(*g) if len(g) > 1 else tuple for g in images]
     while frontier:
         step = []
         for x in frontier:
-            for g in images:
-                y = tuple(map(x.__getitem__, g))
+            for g in compose:
+                y = g(x)
                 if y not in elements:
                     elements.add(y)
                     if stop_above is not None and len(elements) > stop_above:

@@ -25,6 +25,7 @@ from permdfa import (
     run,
     transition_semigroup,
 )
+from permdfa.automaton import moore_classes
 
 B3 = Basis.parse("(0,1,2);(0,1)", 3)
 
@@ -229,6 +230,46 @@ class TestMinimize:
         for _ in range(60):
             d = random_dfa(rng, max_states=20)
             assert minimize(d)[1] == distinguishability_complexity(d)
+
+
+def get_then_insert_classes(actions, reachable, finals_mask, state_count):
+    """moore_classes as it numbered a round's keys before setdefault: a
+    lookup, then an insert for a new key."""
+    cls = [finals_mask >> q & 1 for q in range(state_count)]
+    k = -1
+    while k < len(reachable):
+        ids = {}
+        new = [-1] * state_count
+        for q in reachable:
+            key = (cls[q], *[cls[act[q]] for act in actions])
+            c = ids.get(key)
+            if c is None:
+                c = ids[key] = len(ids)
+            new[q] = c
+        if len(ids) == k:
+            return new, k
+        cls = new
+        k = len(ids)
+    return cls, k
+
+
+class TestMooreClasses:
+    @pytest.mark.parametrize("alphabet", [("a",), ("a", "b"), ("a", "b", "c")])
+    def test_same_ids_as_get_then_insert(self, alphabet):
+        # the whole id list, not only the count: minimize numbers its
+        # states by these ids; letters need not be bijective, and the
+        # initial state need not reach every state
+        rng = random.Random(len(alphabet))
+        partial = 0
+        for _ in range(150):
+            d = random_dfa(rng, max_states=24, alphabet=alphabet)
+            reach = reachable_states(d)
+            partial += len(reach) < d.state_count
+            acts = [d.actions[letter] for letter in alphabet]
+            mask = sum(1 << q for q in d.finals)
+            assert moore_classes(acts, reach, mask, d.state_count) == (
+                get_then_insert_classes(acts, reach, mask, d.state_count))
+        assert partial > 30
 
 
 class TestTextFormat:

@@ -825,7 +825,8 @@ class TestOrbitReduction:
         assert c == enumerate_bases(3)[4] != b == enumerate_bases(3)[rep]
         ctx = harness._PairContext(b, b, s.image.index(0))
         masks = harness._combos(3, 3, [
-            (left, right, op) for _, _, left, right, op
+            (finals_to_mask(left), finals_to_mask(right), op)
+            for _, _, left, right, op
             in _unreduced_instances(3, 3, ops)][:36])[1]
         entry = harness._Judged(ctx, masks)
         assert [i for i, v in enumerate(entry.verdicts) if v[3]][0] == 1
@@ -1143,17 +1144,37 @@ class TestNoAutomatonObjects:
 
 class TestSampling:
     def test_random_perm_draws_as_shuffle(self):
-        # _random_perm draws the bits Random.shuffle draws, so a Python
-        # whose shuffle draws otherwise fails here rather than changing
-        # every sampled report
+        # _random_images, which draws every random permutation of a
+        # campaign, draws the bits Random.shuffle draws, so a Python whose
+        # shuffle draws otherwise fails here rather than changing every
+        # sampled report
         for seed in range(1000):
             rng, reference = random.Random(seed), random.Random(seed)
             for degree in range(2, 65):
                 images = list(range(degree))
                 reference.shuffle(images)
-                assert harness._random_perm(rng, degree).image == tuple(
+                assert harness._random_images(rng, degree) == tuple(
                     images), (seed, degree)
             assert rng.getstate() == reference.getstate()
+
+    def test_random_basis_draws_as_the_perm_loop(self):
+        # _random_basis tests image tuples and makes Perms only of the pair
+        # it returns; the loop it replaced shuffled two Perms per try and
+        # tested their images.  Same bases, same generator state after.
+        for seed in range(200):
+            for degree in range(2, 9):
+                rng, reference = random.Random(seed), random.Random(seed)
+                for _ in range(harness._SAMPLE_TRY_CAP):
+                    s, t = list(range(degree)), list(range(degree))
+                    reference.shuffle(s)
+                    reference.shuffle(t)
+                    s, t = Perm(s), Perm(t)
+                    if perm._images_generate_symmetric([s.image, t.image],
+                                                       degree):
+                        break
+                basis = harness._random_basis(rng, degree)
+                assert (basis.s, basis.t) == (s, t), (seed, degree)
+                assert rng.getstate() == reference.getstate()
 
     def test_requires_sample_mode(self):
         with pytest.raises(ValueError):

@@ -200,6 +200,88 @@ class TestGroupClosure:
         assert len(_closure_images(images, identity, stop_above=5)) == 5
 
 
+def map_closure(images, seed, stop_above=None, stop_at=None):
+    """_closure_images composing by one map per product, as it did before
+    itemgetters: the reference for the order in which it meets elements."""
+    elements = set(seed)
+    frontier = list(elements)
+    while frontier:
+        step = []
+        for x in frontier:
+            for g in images:
+                y = tuple(map(x.__getitem__, g))
+                if y not in elements:
+                    elements.add(y)
+                    if stop_above is not None and len(elements) > stop_above:
+                        return None
+                    if stop_at is not None and stop_at(y):
+                        return None
+                    step.append(y)
+        frontier = step
+    return elements
+
+
+def closure_trace(closure, images, seed, stop_above, stop_after):
+    """The closure's result and every element it gave stop_at, which stops
+    it at the stop_after-th new element."""
+    met = []
+
+    def stop_at(y):
+        met.append(y)
+        return len(met) == stop_after
+
+    return closure(images, seed, stop_above, stop_at), met
+
+
+class TestClosureKernel:
+    def test_one_state_semigroup(self):
+        # on one point itemgetter would return the point, not a 1-tuple
+        a = Semiautomaton(1, ("a", "b"), {"a": (0,), "b": (0,)})
+        assert transition_semigroup(a) == {(0,)}
+
+    @pytest.mark.parametrize("degree", range(1, 8))
+    def test_same_as_map_loop(self, degree):
+        # the same elements, met in the same order, so both exits fire on
+        # the same element; the letters of a semigroup need not be bijective
+        rng = random.Random(degree)
+        for trial in range(24):
+            gens = [tuple(rng.sample(range(degree), degree)) if trial % 3
+                    else tuple(rng.randrange(degree) for _ in range(degree))
+                    for _ in range(rng.randint(1, 3))]
+            seeds = [gens, [tuple(range(degree)), *gens]]
+            bounds = [3, 20, 200, 1000] + ([None] if degree <= 5 else [])
+            for seed in seeds:
+                for stop_above in bounds:
+                    for stop_after in (1, 7, None):
+                        assert closure_trace(
+                            _closure_images, gens, seed, stop_above,
+                            stop_after) == closure_trace(
+                                map_closure, gens, seed, stop_above,
+                                stop_after), (gens, stop_above, stop_after)
+
+    @pytest.mark.parametrize("text,degree,order", [
+        ("(0,1,2,3,4);(1,2,4,3)", 5, 20),  # F_20 = AGL(1,5)
+        ("(0,1,2,3,4);(0,5)(1,2)(3,4)", 6, 120),  # S_5 = PGL(2,5) on 6 points
+    ])
+    def test_generation_test_closures(self, text, degree, order):
+        # the closures the generation test runs on these pairs, which have
+        # an odd generator and no Jordan certificate
+        images = [p.image for p in map(
+            lambda part: parse_cycles(part, degree), text.split(";"))]
+        seed = [tuple(range(degree)), *images]
+        full = _closure_images(images, seed)
+        assert full == map_closure(images, seed) and len(full) == order
+        bound = math.factorial(degree - 1)
+
+        def certificate(y):
+            return perm._cycle_facts(y).certificate
+
+        for stop_above in (bound, order - 1):
+            assert _closure_images(images, seed, stop_above, certificate) == (
+                map_closure(images, seed, stop_above, certificate))
+        assert not generates_symmetric([Perm(g) for g in images])
+
+
 def assert_rejected(text, degree, order):
     """Check that the basis text names a group of the given order with an
     odd generator, and that the generation test rejects it; return the sympy

@@ -459,8 +459,8 @@ class TestPairCount:
         counts = set()
         for i in range(100):
             b1 = harness._random_basis(rng, n)
-            b2 = (b1.conjugated(harness._random_perm(rng, n)) if i % 2
-                  else harness._random_basis(rng, n))
+            b2 = (b1.conjugated(Perm(harness._random_images(rng, n)))
+                  if i % 2 else harness._random_basis(rng, n))
             ctx = harness._PairContext(b1, b2, rng.randrange(n * n))
             for mask in (flat_final_mask(rng.choice(ops),
                                          rng.randrange(1, (1 << n) - 1), n,
