@@ -6,38 +6,32 @@ components of the start's pairs for a distinguishing pair) and the Moore
 minimization oracle.  The row predicts the instance minimal when the pair
 route counts m*n; a count that differs from Moore's aborts the whole
 campaign, because it would mean one of the routes is wrong.  A pair
-context reads the bases' image tuples and builds no automaton object.
+judge reads the bases' image tuples and builds no automaton object.
 
-A campaign judges a basis pair on all of its combos, the (F, F', op)
-choices of its rows, into an entry (_Judged) that holds the verdicts and
-their tally, then emits the entry (_emit): the one place that writes rows,
-builds VerificationRecords and raises TwoPathDisagreement, which ends the
-rows at the pair's first disagreement.  CampaignResult._add adds a sampled
-entry's tally as it is judged, and a sweep's entries' tallies at its end,
-each times the number of pairs that emit it.
-Complementing the product's finals, or moving them by an element of the
-group G that the letters generate on the product states, changes neither
-the Nerode partition nor which pair-graph components hold a distinguishing
-pair, so judging a pair judges each {mask, ~mask} once, and an exhaustive
-context each G-orbit of (F, F') once per operation.  Exhaustive campaigns
-judge one context per orbit of S_m x S_n relabelling both bases and class
-of start states; every pair of the orbit emits its entry as it is or
-through a pick that reorders its verdicts (see _sweep).  evaluate_instance
-judges a fresh context per instance and so is the unreduced reference.
+One pair judge (_PairJudge) serves every caller.  It holds what final sets
+don't change for a basis pair from one start, and the verdict of each
+{mask, ~mask} it has judged.  Its judge method gives the entry of a list
+of finals masks, one per combo (the (F, F', op) choice of a row): the
+verdicts, their texts and their tally.  _emit emits an entry: it is the
+one place that writes rows, builds VerificationRecords and raises
+TwoPathDisagreement, which ends the rows at the pair's first disagreement.
+A sampled instance, evaluate_instance (the unreduced reference) and each
+basis pair of a reproduction report go through _judge_pair: a fresh judge,
+its tally added to the result, its rows emitted.
 
-_emit writes a pair's prefix, then the prefix joined with its row bodies
-(combo text and verdict text).  An entry keeps its bodies per pick, taken
-from a cache that travels with the combos, keyed by the verdict texts in
-combo order.  Every pair of a sweep shares one cache, and it stays small:
-the verdicts of a pair depend only on the group its letters generate on
-the product states, and few groups occur, so the 3,888 pairs of 3x4 show
-7 verdict sequences and the 46,656 of 4x4 at most 31.
+An exhaustive campaign (_sweep) judges one context per relabelling orbit
+of basis pairs and class of start states, on one (F, F') per orbit of the
+group G that the letters generate, and every pair of the orbit emits the
+context's entry.
 
-An exhaustive campaign runs in this process (_sweep); a sampled one forks
-a child for each range of its samples but the first of a round (_split).
+The pairs of a sweep share one cache of row bodies (see _combos), and it
+stays small: the verdicts of a pair depend only on G, and few groups occur,
+so the 3,888 pairs of 3x4 show 7 verdict sequences and the 46,656 of 4x4
+at most 31.
 
-The reproduction reports live in reproductions and count every instance
-through evaluate_instance; reproduce and REPRODUCE_IDS are re-exported here.
+A sweep runs in this process; a sampled campaign forks a child for each
+range of its samples but the first of a round (_split).  reproduce and
+REPRODUCE_IDS are re-exported from reproductions.
 
 Campaigns stream rows in a fixed order (bases lexicographic, then left
 finals, right finals and operation table ascending; samples in index
@@ -118,7 +112,7 @@ _SPOOL_ROWS = 1 << 19
 # a list batch that counts its characters in a write method 12.7 to 13.0M.
 _BATCH = 1 << 16
 
-# The CampaignResult counts of a tally (a _Judged entry's, a child's range's).
+# The CampaignResult counts of a tally (an _Entry's, a child's range's).
 _TALLIES = ("total", "n_pass", "n_exception", "n_fail", "n_conjugate",
             "below_mn")
 
@@ -248,22 +242,31 @@ class CampaignResult:
         )
 
 
-class _PairContext:
-    """Everything about one ordered basis pair that final sets don't change.
+class _Entry:
+    """A pair judged on a list of finals masks: the verdicts in mask order,
+    their verdict texts, one tally of them (counts in _TALLIES order), and
+    bodies: _emit's row bodies for each pick it was given."""
+
+    __slots__ = ("verdicts", "texts", "tally", "bodies")
+
+
+class _PairJudge:
+    """One ordered basis pair from one start state: all that final sets
+    don't change, and memo, the verdict of each {mask, ~mask} judged so
+    far, keyed by the smaller of the two.
 
     head is (m, n, b1 text, b2 text, conjugate, connected), the first six
     fields of each of the pair's VerificationRecords; reachable lists the
     product states that start reaches along actions, ascending.
     """
 
-    __slots__ = ("head", "m", "n", "mn", "conjugate", "connected", "start",
-                 "actions", "reachable", "conjugate_bound")
+    __slots__ = ("head", "mn", "conjugate", "connected", "start", "actions",
+                 "reachable", "conjugate_bound", "memo")
 
     def __init__(self, b1: Basis, b2: Basis, start: int = 0):
-        self.m = b1.degree
-        n = self.n = b2.degree
-        mn = self.mn = self.m * n
-        conjugator = bases_conjugate(b1, b2) if self.m == n else None
+        m, n = b1.degree, b2.degree
+        mn = self.mn = m * n
+        conjugator = bases_conjugate(b1, b2) if m == n else None
         self.conjugate = conjugator is not None
         self.start = start
         acts = self.actions = [product_action(b1.s.image, b2.s.image),
@@ -284,8 +287,61 @@ class _PairContext:
                         if (x == y) == diagonal}
             if set(self.reachable) == expected:
                 self.conjugate_bound = len(expected)
-        self.head = (self.m, self.n, str(b1), str(b2), self.conjugate,
-                     self.connected)
+        self.head = (m, n, str(b1), str(b2), self.conjugate, self.connected)
+        self.memo = {}
+
+    def judge(self, masks) -> _Entry:
+        """The entry of the pair on a list of finals masks."""
+        full = (1 << self.mn) - 1
+        memo = self.memo
+        verdicts = []
+        for flat in masks:
+            key = min(flat, flat ^ full)
+            verdict = memo.get(key)
+            if verdict is None:
+                verdict = memo[key] = self._verdict(flat)
+            verdicts.append(verdict)
+        entry = _Entry()
+        entry.verdicts, entry.bodies = verdicts, {}
+        _, oracles, statuses, _, entry.texts = zip(*verdicts)
+        count = len(verdicts)
+        entry.tally = (
+            count, statuses.count(STATUS_PASS),
+            statuses.count(STATUS_EXCEPTION), statuses.count(STATUS_FAIL),
+            count if self.conjugate else 0,
+            # below_mn counts non-conjugate rows; no count exceeds m*n
+            0 if self.conjugate else count - oracles.count(self.mn))
+        return entry
+
+    def _verdict(self, flat: int):
+        """Both routes on one finals mask: (predicted, oracle, status,
+        disagree, the row's verdict text with its newline).
+
+        predicted is whether the pair route counts m*n states; disagree is
+        None when its count equals Moore's, else the counts a
+        TwoPathDisagreement carries, (Moore, pair route).
+        """
+        mn = self.mn
+        count = pair_count(self.actions, self.reachable, self.start, flat, mn)
+        oracle = moore_complexity(self.actions, self.reachable, flat, mn)
+        predicted = count == mn
+        disagree = None if count == oracle else (oracle, count)
+        if disagree:
+            status = STATUS_FAIL
+        elif self.conjugate:
+            status = (STATUS_PASS if oracle <= self.conjugate_bound
+                      else STATUS_FAIL)
+        elif self.connected and oracle == mn:
+            status = STATUS_PASS
+        elif self.connected and self.head[:2] in EXCEPTION_DEGREES:
+            status = STATUS_EXCEPTION
+        else:
+            # a disconnected product contradicts the connectivity criterion
+            status = STATUS_FAIL
+        # interned, so that _emit's cache of row bodies compares its keys,
+        # the verdict texts of a pair, by identity
+        return (predicted, oracle, status, disagree,
+                sys.intern(_verdict_text(predicted, oracle, status) + "\n"))
 
 
 def _combos(m: int, n: int, triples):
@@ -301,66 +357,7 @@ def _combos(m: int, n: int, triples):
             [_combo_text(*choice) for choice in choices], {})
 
 
-def _judge_mask(ctx: _PairContext, flat: int):
-    """Both routes on one finals mask: (predicted, oracle, status, disagree,
-    the row's verdict text with its newline).
-
-    predicted is whether the pair route counts m*n states; disagree is None
-    when its count equals Moore's, else the counts a TwoPathDisagreement
-    carries, (Moore, pair route).
-    """
-    mn = ctx.mn
-    count = pair_count(ctx.actions, ctx.reachable, ctx.start, flat, mn)
-    oracle = moore_complexity(ctx.actions, ctx.reachable, flat, mn)
-    predicted = count == mn
-    disagree = None if count == oracle else (oracle, count)
-    if disagree:
-        status = STATUS_FAIL
-    elif ctx.conjugate:
-        status = STATUS_PASS if oracle <= ctx.conjugate_bound else STATUS_FAIL
-    elif ctx.connected and oracle == mn:
-        status = STATUS_PASS
-    elif ctx.connected and (ctx.m, ctx.n) in EXCEPTION_DEGREES:
-        status = STATUS_EXCEPTION
-    else:
-        # a disconnected product contradicts the connectivity criterion
-        status = STATUS_FAIL
-    # interned, so that _emit's cache of row bodies compares its keys, the
-    # verdict texts of a pair, by identity
-    return (predicted, oracle, status, disagree,
-            sys.intern(_verdict_text(predicted, oracle, status) + "\n"))
-
-
-class _Judged:
-    """A basis pair judged on every one of its combos' finals masks, each
-    {mask, ~mask} once: the verdicts (as _judge_mask gives them) in combo
-    order, their verdict texts, one tally of them (counts in _TALLIES
-    order), and bodies: _emit's row bodies for each pick it was given."""
-
-    __slots__ = ("verdicts", "texts", "tally", "bodies")
-
-    def __init__(self, ctx: _PairContext, masks):
-        self.bodies = {}
-        full = (1 << ctx.mn) - 1
-        memo = {}
-        verdicts = self.verdicts = []
-        for flat in masks:
-            key = min(flat, flat ^ full)
-            verdict = memo.get(key)
-            if verdict is None:
-                verdict = memo[key] = _judge_mask(ctx, flat)
-            verdicts.append(verdict)
-        _, oracles, statuses, _, self.texts = zip(*verdicts)
-        count = len(verdicts)
-        self.tally = (
-            count, statuses.count(STATUS_PASS),
-            statuses.count(STATUS_EXCEPTION), statuses.count(STATUS_FAIL),
-            count if ctx.conjugate else 0,
-            # below_mn counts non-conjugate rows; no count exceeds m*n
-            0 if ctx.conjugate else count - oracles.count(ctx.mn))
-
-
-def _emit(head, combos, entry: _Judged, pick: itemgetter,
+def _emit(head, combos, entry: _Entry, pick: itemgetter,
           result: CampaignResult, sink: _Sink, out: Optional[TextIO]) -> None:
     """Write a pair's rows, give sink its records and set result.first_fail.
 
@@ -414,10 +411,23 @@ def _emit(head, combos, entry: _Judged, pick: itemgetter,
                                   *verdicts[stop - 1][3])
 
 
+def _judge_pair(b1: Basis, b2: Basis, triples, result: CampaignResult,
+                sink: _Sink, out: Optional[TextIO]) -> None:
+    """Judge the pair (b1, b2) from state 0 on a fresh judge, on a list of
+    (F, F', op), F and F' as masks, add its tally to result and emit it."""
+    pair = _PairJudge(b1, b2)
+    combos = _combos(*pair.head[:2], triples)
+    entry = pair.judge(combos[1])
+    result._add(entry.tally)
+    _emit(pair.head, combos, entry, _ALL, result, sink, out)
+
+
 def evaluate_instance(b1: Basis, b2: Basis, finals_left: Sequence[int],
                       finals_right: Sequence[int],
                       op: BoolFn) -> VerificationRecord:
-    """Judge a single instance exactly as a campaign would."""
+    """Judge a single instance exactly as a campaign would, on a pair judge
+    of its own: the unreduced reference for the campaigns' reductions.  A
+    CampaignConfig applies their operation rule."""
     m, n = b1.degree, b2.degree
     if not (all(q in range(m) for q in finals_left)
             and all(q in range(n) for q in finals_right)):
@@ -426,22 +436,11 @@ def evaluate_instance(b1: Basis, b2: Basis, finals_left: Sequence[int],
     gmask = finals_to_mask(finals_right)
     if not (0 < fmask < (1 << m) - 1) or not (0 < gmask < (1 << n) - 1):
         raise ValueError("final sets must be proper and nonempty")
-    holder: List[VerificationRecord] = []
-    _judge_one(b1, b2, fmask, gmask, op,
-               CampaignResult(CampaignConfig(m, n, ops=(op,))),
-               holder.append, None)
-    return holder[0]
-
-
-def _judge_one(b1: Basis, b2: Basis, fmask: int, gmask: int, op: BoolFn,
-               result: CampaignResult, sink, out) -> None:
-    """Judge one instance as a pair with one combo, add its tally to result
-    and emit it."""
-    ctx = _PairContext(b1, b2)
-    combos = _combos(ctx.m, ctx.n, [(fmask, gmask, op)])
-    entry = _Judged(ctx, combos[1])
-    result._add(entry.tally)
-    _emit(ctx.head, combos, entry, _ALL, result, sink, out)
+    records: List[VerificationRecord] = []
+    _judge_pair(b1, b2, [(fmask, gmask, op)],
+                CampaignResult(CampaignConfig(m, n, ops=(op,))),
+                records.append, None)
+    return records[0]
 
 
 def exhaustive_instance_count(config: CampaignConfig) -> int:
@@ -561,13 +560,13 @@ def _sweep(config: CampaignConfig, result: CampaignResult, sink: _Sink,
         for (rep2, j0), pairs2 in sorted(starts[1].items()):
             if (rep1, rep2, i0 * n + j0) not in judged:
                 b1, b2 = left[rep1][0], right[rep2][0]
-                ctx = _PairContext(b1, b2, i0 * n + j0)
+                pair = _PairJudge(b1, b2, i0 * n + j0)
                 first = _orbit_firsts(b1, b2)
-                entry = _Judged(ctx, [combos[1][f * k + x]
-                                      for f in first for x in range(k)])
+                entry = pair.judge([combos[1][f * k + x]
+                                    for f in first for x in range(k)])
                 sized = len(set(first)) == (m - 1) * (n - 1)
-                cached = ctx.head[4:], entry, _ALL if sized else None
-                for state in ctx.reachable:
+                cached = pair.head[4:], entry, _ALL if sized else None
+                for state in pair.reachable:
                     judged[rep1, rep2, state] = cached
             entry = judged[rep1, rep2, i0 * n + j0][1]
             weights[entry] += pairs1 * pairs2
@@ -666,8 +665,8 @@ def _sample_range(config: CampaignConfig, result: CampaignResult,
             b2 = _random_basis(rng, n)
         fmask = rng.randrange(1, (1 << m) - 1)
         gmask = rng.randrange(1, (1 << n) - 1)
-        _judge_one(b1, b2, fmask, gmask, ops[rng.randrange(len(ops))],
-                   result, sink, out)
+        _judge_pair(b1, b2, [(fmask, gmask, ops[rng.randrange(len(ops))])],
+                    result, sink, out)
 
 
 def _split(config: CampaignConfig, result: CampaignResult, sink: _Sink,
@@ -788,14 +787,14 @@ class ConnectivityCheck(namedtuple("ConnectivityCheck",
 
 def verify_theorem2(m: int, n: int) -> ConnectivityCheck:
     """Compare predicted connectivity with the reachable states of a pair
-    context over all basis pairs."""
+    judge over all basis pairs."""
     total = 0
     mismatches = []
     for b1 in enumerate_bases(m):
         for b2 in enumerate_bases(n):
             total += 1
             predicted = predict_connected(b1, b2)
-            actual = _PairContext(b1, b2).connected
+            actual = _PairJudge(b1, b2).connected
             if predicted != actual:
                 mismatches.append((str(b1), str(b2), predicted, actual))
     return ConnectivityCheck(total, mismatches)

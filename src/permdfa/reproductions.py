@@ -2,16 +2,15 @@
 
 Each known id rebuilds one worked scenario from first principles and prints
 the quantities it is about.  The reports are frozen under tests/golden/.
-Every complexity they print is the oracle of harness.evaluate_instance,
-which judges the instance as a campaign does: the pair route must count
-what Moore counts, or TwoPathDisagreement is raised.
+Every complexity they print is judged as a campaign judges a basis pair,
+each pair once on all of its instances (harness._judge_pair): the pair
+route must count what Moore counts, or TwoPathDisagreement is raised.
 """
 
 from typing import Optional
 
 from . import harness
-from .automaton import (from_basis, is_connected, mask_states,
-                        transition_semigroup)
+from .automaton import from_basis, is_connected, transition_semigroup
 from .boolops import CANONICAL_TABLES, BoolFn, proper_functions
 from .perm import Basis, Perm, _conjugator_text, bases_conjugate
 from .product import (
@@ -27,15 +26,18 @@ from .product import (
 )
 
 
-def _judge(b1: Basis, b2: Basis, fmask: int, gmask: int, op: BoolFn):
-    """The instance's VerificationRecord, judged as a campaign judges it."""
-    return harness.evaluate_instance(b1, b2, mask_states(fmask, b1.degree),
-                                     mask_states(gmask, b2.degree), op)
+def _judge(b1: Basis, b2: Basis, finals, ops):
+    """The VerificationRecords of a basis pair, judged as a campaign judges
+    them: a list for each (F, F') of finals, as masks, of one per op."""
+    records = []
+    harness._judge_pair(b1, b2, [(f, g, op) for f, g in finals for op in ops],
+                        harness.CampaignResult(None), records.append, None)
+    return [records[k:k + len(ops)] for k in range(0, len(records), len(ops))]
 
 
-def _finals_text(fmask: int, m: int, gmask: int, n: int) -> str:
-    return (f"F = {_states_text(mask_states(fmask, m))}"
-            f"  Fp = {_states_text(mask_states(gmask, n))}")
+def _finals_text(rec) -> str:
+    return (f"F = {_states_text(rec.finals_left)}"
+            f"  Fp = {_states_text(rec.finals_right)}")
 
 
 def _reproduce_example_1() -> str:
@@ -63,6 +65,7 @@ def _reproduce_example_2_2() -> str:
     bases = [Basis.parse(text, 2) for text in
              ("(0,1);(0,1)", "(0,1);id", "id;(0,1)")]
     names = ["b1", "b2", "b3"]
+    finals = [(1, 1), (1, 2), (2, 1), (2, 2)]
     ops = proper_functions()
     lines = ["reproduce example-2.2"]
     lines.append("degree 2 bases: "
@@ -81,24 +84,22 @@ def _reproduce_example_2_2() -> str:
         for j in range(i + 1, 3):
             if bases_conjugate(bases[i], bases[j]) is not None:
                 continue
-            for fmask in (1, 2):
-                for gmask in (1, 2):
-                    parts = []
-                    for op in ops:
-                        c = _judge(bases[i], bases[j], fmask, gmask,
-                                   op).oracle
-                        parts.append(f"{op.name}={c}")
-                        if op.name == "xor":
-                            xor_low = xor_low and c < 4
-                        elif op.name == "xnor":
-                            xnor_low = xnor_low and c < 4
-                        else:
-                            others_full = others_full and c == 4
-                    lines.append(
-                        f"{names[i]} x {names[j]}"
-                        f" F={_states_text(mask_states(fmask, 2))}"
-                        f" Fp={_states_text(mask_states(gmask, 2))}: "
-                        + " ".join(parts))
+            for records in _judge(bases[i], bases[j], finals, ops):
+                parts = []
+                for op, rec in zip(ops, records):
+                    c = rec.oracle
+                    parts.append(f"{op.name}={c}")
+                    if op.name == "xor":
+                        xor_low = xor_low and c < 4
+                    elif op.name == "xnor":
+                        xnor_low = xnor_low and c < 4
+                    else:
+                        others_full = others_full and c == 4
+                lines.append(
+                    f"{names[i]} x {names[j]}"
+                    f" F={_states_text(records[0].finals_left)}"
+                    f" Fp={_states_text(records[0].finals_right)}: "
+                    + " ".join(parts))
     lines.append(f"xor below 4 in all products: {_bool_text(xor_low)}")
     lines.append(f"xnor below 4 in all products: {_bool_text(xnor_low)}")
     lines.append("other proper ops equal 4 in all products: "
@@ -114,12 +115,12 @@ def _reproduce_example_3_2() -> str:
     lines = ["reproduce example-3.2"]
     lines.append(f"left (2 states): {b1}")
     lines.append(f"right (3 states): {b2}")
-    lines.append(_finals_text(fmask, 2, gmask, 3) + f"  op = {op.label()}")
+    rec = _judge(b1, b2, [(fmask, gmask)], [op])[0][0]
+    lines.append(_finals_text(rec) + f"  op = {op.label()}")
     flat = flat_final_mask(op, fmask, 2, gmask, 3)
     prod = direct_product(from_basis(b1), from_basis(b2))
     lines.append(format_pair_graph(prod, flat))
-    oracle = _judge(b1, b2, fmask, gmask, op).oracle
-    lines.append(f"oracle complexity: {oracle}")
+    lines.append(f"oracle complexity: {rec.oracle}")
     return "\n".join(lines) + "\n"
 
 
@@ -130,10 +131,11 @@ def _reproduce_example_3_3() -> str:
     lines = ["reproduce example-3.3"]
     lines.append(f"left (3 states): {b1}")
     lines.append(f"right (4 states): {b2}")
-    lines.append(_finals_text(fmask, 3, gmask, 4))
-    for op in map(BoolFn.by_name, ("and", "xor", "or")):
-        lines.append(f"complexity {op.label()}: "
-                     f"{_judge(b1, b2, fmask, gmask, op).oracle}")
+    records = _judge(b1, b2, [(fmask, gmask)],
+                     list(map(BoolFn.by_name, ("and", "xor", "or"))))[0]
+    lines.append(_finals_text(records[0]))
+    for rec in records:
+        lines.append(f"complexity {rec.op.label()}: {rec.oracle}")
     flat = flat_final_mask(BoolFn.by_name("and"), fmask, 3, gmask, 4)
     prod = direct_product(from_basis(b1), from_basis(b2))
     want = (prod.flat(0, 0), prod.flat(0, 3))
@@ -153,16 +155,14 @@ def _reproduce_example_3_4() -> str:
     b1 = Basis.parse("(0,1,2);(2,3)", 4)
     b2 = Basis.parse("(1,3,2);(0,2,1,3)", 4)
     ops = list(map(BoolFn.by_name, ("and", "diff", "rdiff", "xor", "or")))
-    judged = [(fmask, gmask, [_judge(b1, b2, fmask, gmask, op) for op in ops])
-              for fmask, gmask in ((0b0011, 0b0011), (0b1001, 0b0110))]
-    first = judged[0][2][0]
+    judged = _judge(b1, b2, ((0b0011, 0b0011), (0b1001, 0b0110)), ops)
     lines = ["reproduce example-3.4"]
     lines.append(f"left (4 states): {b1}")
     lines.append(f"right (4 states): {b2}")
-    lines.append(f"conjugate: {_bool_text(first.conjugate)}")
-    lines.append(f"connected: {_bool_text(first.connected)}")
-    for fmask, gmask, records in judged:
-        lines.append(_finals_text(fmask, 4, gmask, 4) + ": " + " ".join(
+    lines.append(f"conjugate: {_bool_text(judged[0][0].conjugate)}")
+    lines.append(f"connected: {_bool_text(judged[0][0].connected)}")
+    for records in judged:
+        lines.append(_finals_text(records[0]) + ": " + " ".join(
             f"{rec.op.name}={rec.oracle}" for rec in records))
     return "\n".join(lines) + "\n"
 
@@ -197,8 +197,8 @@ def _reproduce_prop_1(m: Optional[int], n: Optional[int]) -> str:
             break
         right, describe = _witness(name, n, swapped)
         lines.append(describe)
-        counts = [_judge(left, right, fmask, gmask, op).oracle
-                  for op in canonical]
+        counts = [rec.oracle for rec in _judge(left, right, [(fmask, gmask)],
+                                               canonical)[0]]
         lines.append(f"complexities vs {name}: " + " ".join(
             f"{op.name}={c}" for op, c in zip(canonical, counts)))
         section_ok = counts.count(m * n) == len(counts)

@@ -287,14 +287,14 @@ class TestVerify:
         # On two CPUs a forked child judges samples 50 to 99; the left basis
         # of sample 60 first appears there, so only that range runs out of
         # memory, and this process judges it again and fails the same way.
-        real = harness._PairContext
+        real = harness._PairJudge
 
         def context(b1, b2, start=0):
             if str(b1) == "(0,1,3,4,2);(0,3,4)(1,2)":
                 raise MemoryError
             return real(b1, b2, start)
 
-        monkeypatch.setattr(harness, "_PairContext", context)
+        monkeypatch.setattr(harness, "_PairJudge", context)
         for cpus in ({0}, {0, 1}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
             assert cli.main(["verify", "--m", "5", "--n", "5", "--samples",

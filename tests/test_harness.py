@@ -17,9 +17,10 @@ import pytest
 
 from permdfa import Basis, BoolFn, CapExceededError, TwoPathDisagreement
 from permdfa import Perm, automaton, bases_conjugate, conjugate, harness
-from permdfa import direct_product, from_basis, perm, product
+from permdfa import direct_product, from_basis, perm, product, reproductions
 from permdfa.perm import basis_orbits
 from permdfa.automaton import finals_to_mask, mask_states
+from permdfa.boolops import proper_functions
 from permdfa.harness import (
     CampaignConfig,
     REPORT_HEADER,
@@ -731,7 +732,7 @@ class TestOrbitReduction:
 
     def test_one_judgement_per_orbit(self, monkeypatch):
         calls = collections.Counter()
-        for module, name in ((harness, "_PairContext"),
+        for module, name in ((harness, "_PairJudge"),
                              (harness, "moore_complexity"),
                              (harness, "pair_count"),
                              (product, "pair_graph")):
@@ -761,7 +762,7 @@ class TestOrbitReduction:
             res = verify_theorem1(CampaignConfig(
                 m, n, ops=tuple(map(BoolFn.by_name, ops))))
             assert res.total == total
-            assert calls == {"_PairContext": contexts,
+            assert calls == {"_PairJudge": contexts,
                              "moore_complexity": moore,
                              "pair_count": searches}
 
@@ -823,12 +824,12 @@ class TestOrbitReduction:
         b, c = instance[:2]
         _, rep, s = basis_orbits(3)[4]
         assert c == enumerate_bases(3)[4] != b == enumerate_bases(3)[rep]
-        ctx = harness._PairContext(b, b, s.image.index(0))
+        ctx = harness._PairJudge(b, b, s.image.index(0))
         masks = harness._combos(3, 3, [
             (finals_to_mask(left), finals_to_mask(right), op)
             for _, _, left, right, op
             in _unreduced_instances(3, 3, ops)][:36])[1]
-        entry = harness._Judged(ctx, masks)
+        entry = ctx.judge(masks)
         assert [i for i, v in enumerate(entry.verdicts) if v[3]][0] == 1
         # the entry holds every combo's verdict, and its tally every row
         assert len(entry.verdicts) == entry.tally[0] == len(masks) == 36
@@ -991,7 +992,7 @@ def _keep_sweep(monkeypatch):
     """Record the sweep's combo masks and each (context, entry) it judges:
     returns (masks holder, list of (ctx, entry))."""
     masks, judged = [], []
-    combos, judge = harness._combos, harness._Judged
+    combos, judge = harness._combos, harness._PairJudge.judge
 
     def keeping_combos(*args):
         made = combos(*args)
@@ -1004,7 +1005,7 @@ def _keep_sweep(monkeypatch):
         return entry
 
     monkeypatch.setattr(harness, "_combos", keeping_combos)
-    monkeypatch.setattr(harness, "_Judged", keeping_judged)
+    monkeypatch.setattr(harness._PairJudge, "judge", keeping_judged)
     return masks, judged
 
 
@@ -1022,7 +1023,7 @@ class TestFinalsOrbits:
         assert len(masks) == 1 and len(judged) == contexts
         # every representative context and start class, every combo
         for ctx, entry in judged:
-            assert entry.verdicts == [harness._judge_mask(ctx, mask)
+            assert entry.verdicts == [ctx._verdict(mask)
                                       for mask in masks[0]]
 
     @pytest.mark.parametrize("m,n,ops,emitted,pairs", [
@@ -1568,14 +1569,14 @@ class TestSplitSamples:
         # basis first appears there
         left = records[60].b1
         assert [i for i, r in enumerate(records) if r.b1 == left] == [60]
-        real = harness._PairContext
+        real = harness._PairJudge
 
         def context(b1, b2, start=0):
             if str(b1) == left:
                 raise ValueError(f"no context for {left}")
             return real(b1, b2, start)
 
-        monkeypatch.setattr(harness, "_PairContext", context)
+        monkeypatch.setattr(harness, "_PairJudge", context)
         for cpus in (1, 2):
             forks = split(cpus)
             with pytest.raises(ValueError) as info:
@@ -1676,3 +1677,75 @@ class TestReproduce:
         text = reproduce("prop-1", m=4, n=4)
         assert "right-same-shape: skipped (degrees equal)" in text
         assert "witness confirmed: true" in text
+
+    def test_every_prop1_report_digest(self):
+        # prop-1 at every m, n in 3..6, row-major: only m = 3, n = 4 has a
+        # golden
+        text = "".join(reproduce("prop-1", m=m, n=n)
+                       for m in range(3, 7) for n in range(3, 7))
+        assert len(text) == 5979
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+            "e867182b51f17b6cad304c4553048f42f715437c5924fb6d56180a8b8f1cf1cb")
+
+    def test_reports_judge_each_basis_pair_once(self, monkeypatch):
+        # The 21 reports (the fixed ids, and prop-1 at every m, n in 3..6)
+        # print 274 counts on 34 basis pairs.  Each pair takes one judge,
+        # which judges each {mask, ~mask} once: 169 Moore calls, where a
+        # judge per instance made 274 of each.
+        calls = collections.Counter()
+        for name in ("_PairJudge", "moore_complexity"):
+            def counting(*args, _real=getattr(harness, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(harness, name, counting)
+        for ident in REPRODUCE_IDS:
+            if ident != "prop-1":
+                reproduce(ident)
+        for m in range(3, 7):
+            for n in range(3, 7):
+                reproduce("prop-1", m=m, n=n)
+        assert calls == {"_PairJudge": 34, "moore_complexity": 169}
+
+    # example-2.2's non-conjugate pairs, example-3.4's 4x4 pair, the 3x4 pair
+    # of TestPinnedInstances, which has EXCEPTION-EXPECTED rows, and a
+    # conjugate 3x3 pair whose conjugator fixes state 0
+    @pytest.mark.parametrize("b1,m,b2,n", [
+        ("(0,1);(0,1)", 2, "(0,1);id", 2), ("(0,1);(0,1)", 2, "id;(0,1)", 2),
+        ("(0,1);id", 2, "id;(0,1)", 2),
+        ("(0,1,2);(2,3)", 4, "(1,3,2);(0,2,1,3)", 4),
+        ("(0,1);(0,1,2)", 3, "(0,1);(1,3,2)", 4),
+        ("(0,1,2);(0,1)", 3, "(0,2,1);(0,2)", 3),
+    ])
+    @pytest.mark.parametrize("short", [None, "every row", "below m*n"])
+    def test_grouped_equals_per_instance(self, monkeypatch, b1, m, b2, n,
+                                         short):
+        # A report judges a pair on all of its combos on one judge;
+        # evaluate_instance judges each combo on a judge of its own.  Both
+        # give the same records, and with the pair route one state short
+        # the same first disagreement.
+        b1, b2 = Basis.parse(b1, m), Basis.parse(b2, n)
+        if short == "every row":
+            count = harness.pair_count
+            monkeypatch.setattr(harness, "pair_count",
+                                lambda *args: count(*args) - 1)
+        elif short == "below m*n":
+            _pair_count_off_by_one(monkeypatch)
+        finals = [(f, g) for f in range(1, (1 << m) - 1)
+                  for g in range(1, (1 << n) - 1)]
+        ops = proper_functions()
+        alone = []
+        try:
+            for f, g in finals:
+                for op in ops:
+                    alone.append(evaluate_instance(
+                        b1, b2, mask_states(f, m), mask_states(g, n), op))
+        except TwoPathDisagreement as exc:
+            with pytest.raises(TwoPathDisagreement) as info:
+                reproductions._judge(b1, b2, finals, ops)
+            assert (info.value.row, info.value.moore,
+                    info.value.pair_route) == (exc.row, exc.moore,
+                                               exc.pair_route)
+            return
+        assert short is None  # every pair has rows below m*n
+        grouped = reproductions._judge(b1, b2, finals, ops)
+        assert [rec for records in grouped for rec in records] == alone

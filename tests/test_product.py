@@ -418,7 +418,7 @@ def _representative_contexts(m, n):
     for rep1, i0 in starts[0]:
         for rep2, j0 in starts[1]:
             if (rep1, rep2, i0 * n + j0) not in covered:
-                ctx = harness._PairContext(tables[0][rep1][0],
+                ctx = harness._PairJudge(tables[0][rep1][0],
                                            tables[1][rep2][0], i0 * n + j0)
                 covered.update((rep1, rep2, q) for q in ctx.reachable)
                 yield ctx
@@ -461,7 +461,7 @@ class TestPairCount:
             b1 = harness._random_basis(rng, n)
             b2 = (b1.conjugated(Perm(harness._random_images(rng, n)))
                   if i % 2 else harness._random_basis(rng, n))
-            ctx = harness._PairContext(b1, b2, rng.randrange(n * n))
+            ctx = harness._PairJudge(b1, b2, rng.randrange(n * n))
             for mask in (flat_final_mask(rng.choice(ops),
                                          rng.randrange(1, (1 << n) - 1), n,
                                          rng.randrange(1, (1 << n) - 1), n),

@@ -19,6 +19,9 @@ OUTSIDE_USE = {
     "distinguishability_complexity": "the independent table-filling oracle"
     " that minimize is tested against, and a span perfbench traces",
     "equivalence_classes": "the Nerode classes, which the property tests check",
+    "evaluate_instance": "the unreduced reference, one instance on a fresh"
+    " pair judge, that the orbit-reduction tests and criterion 05 compare"
+    " campaigns against",
     "generates_symmetric": "the generation test on Perms, checked against sympy",
     "sample_instances": "verify_theorem1 behind a check that the config is"
     " in sample mode, which the acceptance tests call",
